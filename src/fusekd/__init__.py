@@ -11,8 +11,6 @@ from .augment import AugmentConfig, ViewPair, make_views
 from .config import ScheduleSettings, TrainConfig, load_config, parse_config, serialize_config
 from .fusion import (
     Adapter,
-    adapter_project,
-    fuse_features,
     fuse_tokens,
     mse_loss_variant,
     spatial_fusion_loss,

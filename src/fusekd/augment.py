@@ -22,7 +22,6 @@ class AugmentConfig:
     brightness: float = 0.4
     contrast: float = 0.4
     saturation: float = 0.4
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.scale_min <= self.scale_max <= 1.0):

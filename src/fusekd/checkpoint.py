@@ -123,19 +123,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 def describe(path: str | Path) -> dict:
     """Summary used by checkpoint inspection: version, tensors, total count."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise TruncatedError(f"{path}: file shorter than header")
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack("<I", raw[4:8])
-    tensors, meta = load_checkpoint(path)
+    tensors, meta = load_checkpoint(path)  # rejects every version but VERSION
     rows = [
         {"name": n, "shape": list(a.shape), "dtype": "f64" if a.dtype == np.float64 else "f32", "size": int(a.size)}
         for n, a in tensors.items()
     ]
     return {
-        "version": version,
+        "version": VERSION,
         "meta": meta,
         "tensors": rows,
         "total_parameters": int(sum(r["size"] for r in rows)),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from . import fusion
 from . import teachers as tch
 from . import tensor as T
 from . import trainer
-from .config import load_config, with_overrides
+from .config import load_config
 from .fusion import Adapter
 from .tensor import Tensor, run_grad_check
 from .vit import ViTConfig, ViTEncoder, param_count
@@ -129,10 +130,12 @@ def _cmd_make_teachers(args) -> int:
     return 0
 
 
+def _apply_seed(cfg, seed):
+    return cfg if seed is None else replace(cfg, seed=seed)
+
+
 def _cmd_distill(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = with_overrides(cfg, seed=args.seed)
+    cfg = _apply_seed(load_config(args.config), args.seed)
     result = trainer.train(cfg, log=lambda msg: print(msg, file=sys.stderr))
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics: {result.metrics_path}")
@@ -147,10 +150,6 @@ def _cmd_eval(args) -> int:
     acc = trainer.linear_probe(student, train_ds, test_ds, probe_epochs=args.probe_epochs)
     print(f"probe_accuracy: {acc:.4f}")
     return 0
-
-
-def _apply_seed(cfg, seed):
-    return cfg if seed is None else with_overrides(cfg, seed=seed)
 
 
 def _cmd_sweep_teachers(args) -> int:
@@ -214,10 +213,7 @@ def _cmd_gradcheck(args) -> int:
     def end_to_end():
         proj = adapter.project(enc.encode_batch(img))
         smap = fusion.student_feature_map(proj, cfg.grid, cfg.grid)
-        return T.add(
-            fusion.token_fusion_loss(proj, t_tokens),
-            fusion.spatial_fusion_loss(smap, t_map),
-        )
+        return fusion.total_loss(proj, t_tokens, smap, t_map)
 
     params = enc.parameters() + adapter.parameters()
     if args.tiny:

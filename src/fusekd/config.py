@@ -8,13 +8,12 @@ text is echoed into checkpoint metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .augment import AugmentConfig
+from .fusion import LOSS_MODES
 from .vit import ViTConfig
-
-LOSS_MODES = ("tfd+sfd", "tfd", "sfd", "mse")
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,7 @@ def parse_config(text: str) -> TrainConfig:
     out_dir = pairs.pop("out_dir")
 
     schedule = section("schedule", ScheduleSettings)
+    pairs.pop("augment.seed", None)  # legacy key, never read; old configs still load
     augment = section("augment", AugmentConfig)
 
     simple = {}
@@ -155,7 +155,3 @@ def parse_config(text: str) -> TrainConfig:
 
 def load_config(path: str | Path) -> TrainConfig:
     return parse_config(Path(path).read_text())
-
-
-def with_overrides(cfg: TrainConfig, **kwargs) -> TrainConfig:
-    return replace(cfg, **kwargs)

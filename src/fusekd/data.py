@@ -68,15 +68,21 @@ def generate(n: int, seed: int, image_size: int = 16) -> Dataset:
     return Dataset(images=images, labels=labels)
 
 
+def _record_dtype(h: int, w: int) -> np.dtype:
+    """One packed record: u8 label, then H*W*3 bytes of interleaved RGB."""
+    return np.dtype([("label", "u1"), ("pixels", "u1", (h, w, 3))])
+
+
 def write_dmtd(path: str | Path, dataset: Dataset) -> None:
     images, labels = dataset.images, dataset.labels
     n, _, h, w = images.shape
+    records = np.empty(n, dtype=_record_dtype(h, w))
+    records["label"] = labels
+    records["pixels"] = images.transpose(0, 2, 3, 1)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIHH", VERSION, n, h, w))
-        for i in range(n):
-            fh.write(struct.pack("<B", int(labels[i])))
-            fh.write(images[i].transpose(1, 2, 0).tobytes())  # interleaved RGB
+        fh.write(records.tobytes())
 
 
 def read_dmtd(path: str | Path) -> Dataset:
@@ -88,20 +94,16 @@ def read_dmtd(path: str | Path) -> Dataset:
     version, count, h, w = struct.unpack("<IIHH", raw[4:16])
     if version != VERSION:
         raise DatasetError(f"{path}: unsupported version {version}")
-    rec = 1 + h * w * 3
-    if len(raw) != 16 + count * rec:
+    rec = _record_dtype(h, w)
+    if len(raw) != 16 + count * rec.itemsize:
         raise DatasetError(
-            f"{path}: payload is {len(raw) - 16} bytes, expected {count * rec}"
+            f"{path}: payload is {len(raw) - 16} bytes, expected {count * rec.itemsize}"
         )
-    images = np.empty((count, 3, h, w), dtype=np.uint8)
-    labels = np.empty(count, dtype=np.uint8)
-    off = 16
-    for i in range(count):
-        labels[i] = raw[off]
-        pix = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3, offset=off + 1)
-        images[i] = pix.reshape(h, w, 3).transpose(2, 0, 1)
-        off += rec
-    return Dataset(images=images, labels=labels)
+    records = np.frombuffer(raw, dtype=rec, count=count, offset=16)
+    return Dataset(
+        images=np.ascontiguousarray(records["pixels"].transpose(0, 3, 1, 2)),
+        labels=records["label"].copy(),
+    )
 
 
 def gen_data(out_dir: str | Path, n_train: int, n_test: int, seed: int, image_size: int = 16) -> tuple[Path, Path]:

@@ -46,13 +46,8 @@ def _canonical_sum(mats: list[np.ndarray]) -> np.ndarray:
 
 
 def fuse_tokens(teacher_tokens: list[np.ndarray]) -> np.ndarray:
-    """Sum of M token matrices (..., N+1, D); order-independent bit-exact."""
+    """Sum of M token matrices (..., N+1, D) or feature maps; order-independent bit-exact."""
     return _canonical_sum(teacher_tokens)
-
-
-def fuse_features(teacher_maps: list[np.ndarray]) -> np.ndarray:
-    """Sum of M feature maps (..., D, H', W'); order-independent bit-exact."""
-    return _canonical_sum(teacher_maps)
 
 
 def tokens_to_feature_map(tokens: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
@@ -129,19 +124,13 @@ class Adapter:
         return [self.weight, self.bias]
 
 
-def adapter_project(student_tokens: Tensor, adapter: Adapter) -> Tensor:
-    return adapter.project(student_tokens)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _check_same_shape(a, b, what: str) -> None:
-    sa = a.shape if hasattr(a, "shape") else np.shape(a)
-    sb = b.shape if hasattr(b, "shape") else np.shape(b)
-    if tuple(sa) != tuple(sb):
-        raise ValueError(f"{what} shape mismatch: {tuple(sa)} vs {tuple(sb)}")
+def _operands(student, target, what: str) -> tuple[Tensor, np.ndarray]:
+    """The student side as a Tensor and the target as a float64 array of the same shape."""
+    s = student if isinstance(student, Tensor) else Tensor(student)
+    t = np.asarray(target, dtype=np.float64)
+    if s.shape != t.shape:
+        raise ValueError(f"{what} shape mismatch: {s.shape} vs {t.shape}")
+    return s, t
 
 
 def _mean_row_kl(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
@@ -149,28 +138,36 @@ def _mean_row_kl(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
     return T.scale(T.kl_vs_constant(student, target), 1.0 / rows)
 
 
-def token_fusion_loss(student_tokens, fused_tokens) -> Tensor:
-    """Per-token channel KL against the fused target; all N+1 tokens included."""
-    s = _as_tensor(student_tokens)
-    t = np.asarray(fused_tokens, dtype=np.float64)
-    _check_same_shape(s, t, "token")
-    rows = int(np.prod(s.shape[:-1]))  # B * (N+1) tokens, each a KL over D
-    return _mean_row_kl(s, t, rows)
+def _mean_row_sq(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
+    """Sum of squared differences divided by the number of leading rows."""
+    d = T.sub(student, Tensor(target))
+    return T.scale(T.sum_all(T.mul(d, d)), 1.0 / rows)
 
 
-def spatial_fusion_loss(student_map, fused_map) -> Tensor:
-    """Per-channel spatial KL; each channel flattened to its N grid cells."""
-    s = _as_tensor(student_map)
-    t = np.asarray(fused_map, dtype=np.float64)
-    _check_same_shape(s, t, "feature map")
+def _token_term(reduce, student_tokens, fused_tokens) -> Tensor:
+    """``reduce`` over every token row: B * (N+1) rows, each over D channels."""
+    s, t = _operands(student_tokens, fused_tokens, "token")
+    return reduce(s, t, int(np.prod(s.shape[:-1])))
+
+
+def _spatial_term(reduce, student_map, fused_map) -> Tensor:
+    """``reduce`` over every channel row: B * D rows, each over N grid cells."""
+    s, t = _operands(student_map, fused_map, "feature map")
     if s.array.ndim < 3:
         raise ValueError("feature maps must be (..., D, H', W')")
     lead = s.shape[:-2]
     n = s.shape[-2] * s.shape[-1]
-    rows = int(np.prod(lead))  # B * D channels, each a KL over N cells
-    s_flat = T.reshape(s, lead + (n,))
-    t_flat = t.reshape(lead + (n,))
-    return _mean_row_kl(s_flat, t_flat, rows)
+    return reduce(T.reshape(s, lead + (n,)), t.reshape(lead + (n,)), int(np.prod(lead)))
+
+
+def token_fusion_loss(student_tokens, fused_tokens) -> Tensor:
+    """Per-token channel KL against the fused target; all N+1 tokens included."""
+    return _token_term(_mean_row_kl, student_tokens, fused_tokens)
+
+
+def spatial_fusion_loss(student_map, fused_map) -> Tensor:
+    """Per-channel spatial KL; each channel flattened to its N grid cells."""
+    return _spatial_term(_mean_row_kl, student_map, fused_map)
 
 
 def total_loss(student_tokens, fused_tokens, student_map, fused_map) -> Tensor:
@@ -181,27 +178,12 @@ def total_loss(student_tokens, fused_tokens, student_map, fused_map) -> Tensor:
     )
 
 
-def _mean_row_sq(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
-    d = T.sub(student, Tensor(np.asarray(target, dtype=np.float64)))
-    return T.scale(T.sum_all(T.mul(d, d)), 1.0 / rows)
-
-
 def mse_token_term(student_tokens, fused_tokens) -> Tensor:
-    s = _as_tensor(student_tokens)
-    t = np.asarray(fused_tokens, dtype=np.float64)
-    _check_same_shape(s, t, "token")
-    rows = int(np.prod(s.shape[:-1]))
-    return _mean_row_sq(s, t, rows)
+    return _token_term(_mean_row_sq, student_tokens, fused_tokens)
 
 
 def mse_spatial_term(student_map, fused_map) -> Tensor:
-    s = _as_tensor(student_map)
-    t = np.asarray(fused_map, dtype=np.float64)
-    _check_same_shape(s, t, "feature map")
-    lead = s.shape[:-2]
-    n = s.shape[-2] * s.shape[-1]
-    rows = int(np.prod(lead))
-    return _mean_row_sq(T.reshape(s, lead + (n,)), t.reshape(lead + (n,)), rows)
+    return _spatial_term(_mean_row_sq, student_map, fused_map)
 
 
 def mse_loss_variant(student_tokens, fused_tokens, student_map, fused_map) -> Tensor:
@@ -210,3 +192,29 @@ def mse_loss_variant(student_tokens, fused_tokens, student_map, fused_map) -> Te
         mse_token_term(student_tokens, fused_tokens),
         mse_spatial_term(student_map, fused_map),
     )
+
+
+LOSS_MODES = ("tfd+sfd", "tfd", "sfd", "mse")
+
+
+def mode_loss(
+    mode: str, proj: Tensor, fused_tokens: np.ndarray, fused_map: np.ndarray, grid: int
+) -> tuple[Tensor, Tensor | None, Tensor | None]:
+    """Training objective for one of ``LOSS_MODES``, from the projected student tokens.
+
+    Returns (loss, token_term, spatial_term); a term the mode leaves out of
+    the gradient is None. ``mse`` swaps both KL terms for squared error.
+    """
+    if mode not in LOSS_MODES:
+        raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
+    token_term = mse_token_term if mode == "mse" else token_fusion_loss
+    spatial_term = mse_spatial_term if mode == "mse" else spatial_fusion_loss
+    if mode == "tfd":
+        lt = token_term(proj, fused_tokens)
+        return lt, lt, None
+    if mode == "sfd":
+        ls = spatial_term(student_feature_map(proj, grid, grid), fused_map)
+        return ls, None, ls
+    lt = token_term(proj, fused_tokens)
+    ls = spatial_term(student_feature_map(proj, grid, grid), fused_map)
+    return T.add(lt, ls), lt, ls

@@ -69,15 +69,17 @@ def adamw_step(
         raise ValueError("params/grads/state length mismatch")
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=np.float64)
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    # validate everything first: a bad grad must not leave a half-applied update
+    for p, g in zip(params, grads):
         if g.shape != p.shape:
             raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {p.name!r}")
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    for i, (p, g) in enumerate(zip(params, grads)):
         state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
         state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
         m_hat = state.m[i] / bc1

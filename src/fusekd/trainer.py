@@ -21,7 +21,7 @@ from . import data as dat
 from . import fusion
 from . import optim
 from . import tensor as T
-from .config import LOSS_MODES, TrainConfig, parse_config, serialize_config
+from .config import TrainConfig, parse_config, serialize_config
 from .fusion import Adapter
 from .teachers import TeacherBank, load_bank
 from .tensor import GradTape, Tensor
@@ -101,30 +101,23 @@ def _build_views(
     return teacher_views, student_views
 
 
-def _loss_for_mode(
-    mode: str,
-    proj: Tensor,
-    fused_tokens: np.ndarray,
-    fused_map: np.ndarray,
-    grid: int,
+def _batch_loss(
+    images: np.ndarray,
+    seeds: list[int],
+    augment_cfg: aug.AugmentConfig,
+    bank: TeacherBank,
+    student: ViTEncoder,
+    adapter: Adapter,
+    loss_mode: str,
 ) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """Returns (loss, token_term, spatial_term); terms not in the gradient are None."""
-    if mode == "tfd":
-        lt = fusion.token_fusion_loss(proj, fused_tokens)
-        return lt, lt, None
-    if mode == "sfd":
-        smap = fusion.student_feature_map(proj, grid, grid)
-        ls = fusion.spatial_fusion_loss(smap, fused_map)
-        return ls, None, ls
-    if mode == "mse":
-        lt = fusion.mse_token_term(proj, fused_tokens)
-        smap = fusion.student_feature_map(proj, grid, grid)
-        ls = fusion.mse_spatial_term(smap, fused_map)
-        return T.add(lt, ls), lt, ls
-    lt = fusion.token_fusion_loss(proj, fused_tokens)
-    smap = fusion.student_feature_map(proj, grid, grid)
-    ls = fusion.spatial_fusion_loss(smap, fused_map)
-    return T.add(lt, ls), lt, ls
+    """Views -> frozen teacher forwards -> fused targets -> student + adapter -> loss."""
+    grid = bank.config.grid
+    teacher_views, student_views = _build_views(images, seeds, augment_cfg)
+    outs = bank.forward_all(teacher_views)  # frozen: never on tape
+    fused_tokens = fusion.fuse_tokens([o.array for o in outs])
+    fused_map = fusion.tokens_to_feature_map(fused_tokens, grid, grid)
+    proj = adapter.project(student.encode_batch(student_views))
+    return fusion.mode_loss(loss_mode, proj, fused_tokens, fused_map, grid)
 
 
 def _locate_bad_sample(
@@ -136,15 +129,11 @@ def _locate_bad_sample(
     adapter: Adapter,
     loss_mode: str,
 ) -> int | None:
-    grid = bank.config.grid
     for i in range(images.shape[0]):
         try:
-            tv, sv = _build_views(images[i : i + 1], seeds[i : i + 1], augment_cfg)
-            outs = bank.forward_all(tv)
-            fused_tokens = fusion.fuse_tokens([o.array for o in outs])
-            fused_map = fusion.tokens_to_feature_map(fused_tokens, grid, grid)
-            proj = adapter.project(student.encode_batch(sv))
-            _loss_for_mode(loss_mode, proj, fused_tokens, fused_map, grid)
+            _batch_loss(
+                images[i : i + 1], seeds[i : i + 1], augment_cfg, bank, student, adapter, loss_mode
+            )
         except ValueError:
             return i
     return None
@@ -162,19 +151,14 @@ def distill_step(
     loss_mode: str = "tfd+sfd",
 ) -> StepLosses:
     """One optimizer step over a batch of raw [0,1] images."""
-    if loss_mode not in LOSS_MODES:
-        raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-    grid = bank.config.grid
+    if loss_mode not in fusion.LOSS_MODES:
+        raise ValueError(f"loss_mode must be one of {fusion.LOSS_MODES}")
     params = student.parameters() + adapter.parameters()
     try:
-        teacher_views, student_views = _build_views(images, seeds, augment_cfg)
-        outs = bank.forward_all(teacher_views)  # frozen: never on tape
-        fused_tokens = fusion.fuse_tokens([o.array for o in outs])
-        fused_map = fusion.tokens_to_feature_map(fused_tokens, grid, grid)
         with GradTape() as tape:
-            tokens = student.encode_batch(student_views)
-            proj = adapter.project(tokens)
-            loss, lt, ls = _loss_for_mode(loss_mode, proj, fused_tokens, fused_map, grid)
+            loss, lt, ls = _batch_loss(
+                images, seeds, augment_cfg, bank, student, adapter, loss_mode
+            )
         grads = tape.gradients(loss, params)
         optim.adamw_step(params, grads, opt_state, lr)
     except ValueError as exc:
@@ -198,6 +182,11 @@ def _student_tensors(student: ViTEncoder, adapter: Adapter) -> dict[str, np.ndar
     return out
 
 
+def _moment_names(student: ViTEncoder) -> list[str]:
+    """Checkpoint names of the AdamW moments, aligned with student + adapter parameters."""
+    return [n for n, _ in student.named_tensors()] + ["adapter.weight", "adapter.bias"]
+
+
 def save_train_checkpoint(
     path: str | Path,
     cfg: TrainConfig,
@@ -207,8 +196,7 @@ def save_train_checkpoint(
     step: int,
 ) -> None:
     tensors = _student_tensors(student, adapter)
-    names = [n for n, _ in student.named_tensors()] + ["adapter.weight", "adapter.bias"]
-    for name, m, v in zip(names, opt_state.m, opt_state.v):
+    for name, m, v in zip(_moment_names(student), opt_state.m, opt_state.v):
         tensors[f"opt.m.{name}"] = m
         tensors[f"opt.v.{name}"] = v
     meta = {
@@ -235,9 +223,8 @@ def load_train_checkpoint(path: str | Path):
         weight=Tensor(tensors["adapter.weight"], parameter=True, name="adapter_w"),
         bias=Tensor(tensors["adapter.bias"], parameter=True, name="adapter_b"),
     )
-    params = student.parameters() + adapter.parameters()
-    names = [n for n, _ in student.named_tensors()] + ["adapter.weight", "adapter.bias"]
-    opt_state = optim.init_adamw(params)
+    names = _moment_names(student)
+    opt_state = optim.init_adamw(student.parameters() + adapter.parameters())
     opt_state.m = [np.asarray(tensors[f"opt.m.{n}"], dtype=np.float64) for n in names]
     opt_state.v = [np.asarray(tensors[f"opt.v.{n}"], dtype=np.float64) for n in names]
     opt_state.t = int(meta.get("opt_t", 0))
@@ -407,14 +394,13 @@ class SweepRow:
     label: str
     final_loss: float
     probe_accuracy: float
-    delta_pp: float | None = None  # percentage points vs the sweep baseline
+    delta_pp: float | None = None  # percentage points vs the best single setting
     note: str = ""
 
 
 @dataclass
 class SweepTable:
     title: str
-    baseline_label: str
     rows: list[SweepRow]
 
     def render(self) -> str:
@@ -433,12 +419,30 @@ class SweepTable:
         return "\n".join(lines)
 
 
-def _run_and_probe(cfg: TrainConfig, probe_epochs: int = 200) -> tuple[float, float]:
-    result = train(cfg)
-    _, student, _, _, _ = load_train_checkpoint(result.checkpoint_path)
-    train_ds, test_ds = dat.load_splits(cfg.dataset)
-    acc = linear_probe(student, train_ds, test_ds, probe_epochs=probe_epochs)
-    return result.final_loss if result.final_loss is not None else float("nan"), acc
+def _sweep(
+    cfg: TrainConfig,
+    title: str,
+    runs: list[tuple[str, dict, bool, str]],
+    probe_epochs: int,
+) -> SweepTable:
+    """Train, reload and probe once per ``(label, cfg overrides, is_single, note)`` run.
+
+    Rows that are not single settings get ``delta_pp`` against the best
+    single row's probe accuracy.
+    """
+    rows = []
+    for label, overrides, _, note in runs:
+        result = train(replace(cfg, **overrides))
+        _, student, _, _, _ = load_train_checkpoint(result.checkpoint_path)
+        train_ds, test_ds = dat.load_splits(cfg.dataset)
+        acc = linear_probe(student, train_ds, test_ds, probe_epochs=probe_epochs)
+        loss = result.final_loss if result.final_loss is not None else float("nan")
+        rows.append(SweepRow(label, loss, acc, note=note))
+    singles = [row.probe_accuracy for row, (_, _, single, _) in zip(rows, runs) if single]
+    for row, (_, _, single, _) in zip(rows, runs):
+        if singles and not single:
+            row.delta_pp = 100.0 * (row.probe_accuracy - max(singles))
+    return SweepTable(title, rows)
 
 
 def sweep_teacher_combinations(
@@ -448,54 +452,30 @@ def sweep_teacher_combinations(
     if not subsets:
         raise ValueError("need at least one subset")
     bank = load_bank(list(cfg.teacher_paths))
-    rows: list[SweepRow] = []
-    results: dict[tuple[int, ...], tuple[float, float]] = {}
+    full = tuple(range(len(cfg.teacher_paths)))
+    runs = []
     for subset in subsets:
         if not subset:
             raise ValueError("subsets must be non-empty")
-        paths = tuple(cfg.teacher_paths[i] for i in subset)
-        label = "+".join(bank.labels[i] for i in subset)
-        sub_cfg = replace(
-            cfg,
-            teacher_paths=paths,
-            out_dir=str(Path(cfg.out_dir) / ("teachers_" + "_".join(map(str, subset)))),
-        )
-        results[tuple(subset)] = _run_and_probe(sub_cfg, probe_epochs)
-    singles = {s: r for s, r in results.items() if len(s) == 1}
-    best_single = max((acc for _, acc in singles.values()), default=None)
-    full = tuple(range(len(cfg.teacher_paths)))
-    for subset in subsets:
-        loss, acc = results[tuple(subset)]
-        label = "+".join(bank.labels[i] for i in subset)
-        delta = None
-        if best_single is not None and len(subset) > 1:
-            delta = 100.0 * (acc - best_single)
+        overrides = {
+            "teacher_paths": tuple(cfg.teacher_paths[i] for i in subset),
+            "out_dir": str(Path(cfg.out_dir) / ("teachers_" + "_".join(map(str, subset)))),
+        }
         note = "all teachers (comparison baseline)" if tuple(subset) == full else ""
-        rows.append(SweepRow(label, loss, acc, delta, note))
-    return SweepTable(
-        title="teacher-combination sweep",
-        baseline_label="best single teacher",
-        rows=rows,
-    )
+        label = "+".join(bank.labels[i] for i in subset)
+        runs.append((label, overrides, len(subset) == 1, note))
+    return _sweep(cfg, "teacher-combination sweep", runs, probe_epochs)
 
 
 def sweep_loss_modes(cfg: TrainConfig, probe_epochs: int = 200) -> SweepTable:
     """Train once per loss mode {tfd, sfd, tfd+sfd, mse} and tabulate."""
-    results: dict[str, tuple[float, float]] = {}
-    for mode in ("tfd", "sfd", "tfd+sfd", "mse"):
-        sub_cfg = replace(
-            cfg,
-            loss_mode=mode,
-            out_dir=str(Path(cfg.out_dir) / f"loss_{mode.replace('+', '_')}"),
+    runs = [
+        (
+            mode,
+            {"loss_mode": mode, "out_dir": str(Path(cfg.out_dir) / f"loss_{mode.replace('+', '_')}")},
+            mode in ("tfd", "sfd"),
+            "combined (comparison baseline)" if mode == "tfd+sfd" else "",
         )
-        results[mode] = _run_and_probe(sub_cfg, probe_epochs)
-    best_single = max(results["tfd"][1], results["sfd"][1])
-    rows = []
-    for mode in ("tfd", "sfd", "tfd+sfd", "mse"):
-        loss, acc = results[mode]
-        delta = 100.0 * (acc - best_single) if mode in ("tfd+sfd", "mse") else None
-        note = "combined (comparison baseline)" if mode == "tfd+sfd" else ""
-        rows.append(SweepRow(mode, loss, acc, delta, note))
-    return SweepTable(
-        title="loss-mode sweep", baseline_label="best single loss", rows=rows
-    )
+        for mode in ("tfd", "sfd", "tfd+sfd", "mse")
+    ]
+    return _sweep(cfg, "loss-mode sweep", runs, probe_epochs)

@@ -202,7 +202,7 @@ class TestAlgebraicInvariants:
 
         def total(order):
             toks = fusion.fuse_tokens([teachers[i] for i in order])
-            fmap = fusion.fuse_features(
+            fmap = fusion.fuse_tokens(
                 [fusion.tokens_to_feature_map(teachers[i], 2, 2) for i in order]
             )
             return fusion.total_loss(s, toks, smap, fmap).item()
@@ -214,7 +214,7 @@ class TestAlgebraicInvariants:
     def test_fuse_reshape_commute(self, rng):
         tokens = [rng.normal(size=(17, 6)) for _ in range(3)]
         a = fusion.tokens_to_feature_map(fusion.fuse_tokens(tokens), 4, 4)
-        b = fusion.fuse_features([fusion.tokens_to_feature_map(t, 4, 4) for t in tokens])
+        b = fusion.fuse_tokens([fusion.tokens_to_feature_map(t, 4, 4) for t in tokens])
         ok = np.array_equal(a, b)
         assert report("invariant-fuse-reshape-commute", ok, "zero difference")
 

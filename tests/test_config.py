@@ -21,7 +21,7 @@ def sample_config():
         epochs=50,
         batch_size=64,
         schedule=ScheduleSettings(base_lr=1.5e-4, warmup_epochs=15, floor_lr=0.0),
-        augment=AugmentConfig(scale_min=0.2, brightness=0.4, seed=3),
+        augment=AugmentConfig(scale_min=0.2, brightness=0.4),
         loss_mode="tfd+sfd",
         seed=7,
     )
@@ -40,6 +40,10 @@ class TestRoundTrip:
 
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\n" + serialize_config(sample_config())
+        assert parse_config(text) == sample_config()
+
+    def test_legacy_augment_seed_ignored(self):
+        text = serialize_config(sample_config()) + "augment.seed=3\n"
         assert parse_config(text) == sample_config()
 
 

@@ -10,11 +10,10 @@ from fusekd import functional as F
 from fusekd import tensor as T
 from fusekd.fusion import (
     Adapter,
-    adapter_project,
     feature_map_to_tokens,
-    fuse_features,
     fuse_tokens,
     mse_loss_variant,
+    mse_spatial_term,
     mse_token_term,
     spatial_fusion_loss,
     student_feature_map,
@@ -99,15 +98,15 @@ class TestTokensToFeatureMap:
 class TestFuseFeatures:
     def test_identity_and_permutation(self, rng):
         maps = [rng.normal(size=(3, 2, 2)) for _ in range(3)]
-        np.testing.assert_array_equal(fuse_features([maps[0]]), maps[0])
+        np.testing.assert_array_equal(fuse_tokens([maps[0]]), maps[0])
         np.testing.assert_array_equal(
-            fuse_features(maps[::-1]), fuse_features(maps)
+            fuse_tokens(maps[::-1]), fuse_tokens(maps)
         )
 
     def test_commutes_with_reshape(self, rng):
         tokens = [rng.normal(size=(5, 3)) for _ in range(3)]
         via_fuse_first = tokens_to_feature_map(fuse_tokens(tokens), 2, 2)
-        via_reshape_first = fuse_features(
+        via_reshape_first = fuse_tokens(
             [tokens_to_feature_map(t, 2, 2) for t in tokens]
         )
         np.testing.assert_array_equal(via_fuse_first, via_reshape_first)
@@ -116,7 +115,7 @@ class TestFuseFeatures:
 class TestAdapter:
     def test_identity_map(self, rng):
         tokens = Tensor(rng.normal(size=(5, 4)))
-        out = adapter_project(tokens, Adapter.identity(4))
+        out = Adapter.identity(4).project(tokens)
         np.testing.assert_array_equal(out.array, tokens.array)
 
     def test_zero_weight_gives_bias_rows(self, rng):
@@ -125,14 +124,14 @@ class TestAdapter:
             weight=Tensor(np.zeros((4, 6)), parameter=True),
             bias=Tensor(bias, parameter=True),
         )
-        out = adapter_project(Tensor(rng.normal(size=(5, 4))), ad)
+        out = ad.project(Tensor(rng.normal(size=(5, 4))))
         for row in out.array:
             np.testing.assert_array_equal(row, bias)
 
     def test_matches_naive_matvec(self, rng):
         ad = Adapter.create(4, 6, seed=1)
         tokens = rng.normal(size=(3, 4))
-        out = adapter_project(Tensor(tokens), ad).array
+        out = ad.project(Tensor(tokens)).array
         for i in range(3):
             expect = np.zeros(6)
             for k in range(4):
@@ -142,7 +141,7 @@ class TestAdapter:
 
     def test_width_mismatch_errors(self, rng):
         with pytest.raises(ValueError):
-            adapter_project(Tensor(rng.normal(size=(5, 3))), Adapter.create(4, 6))
+            Adapter.create(4, 6).project(Tensor(rng.normal(size=(5, 3))))
 
 
 def _loss_val(t):
@@ -251,6 +250,11 @@ class TestMseVariant:
         )
         assert abs(got - expect) < 1e-12
 
+    def test_spatial_term_rejects_2d_map(self, rng):
+        m = rng.normal(size=(2, 2))
+        with pytest.raises(ValueError, match="feature maps"):
+            mse_spatial_term(Tensor(m), m)
+
 
 class TestLossInvariants:
     def test_non_negative_and_zero_iff_match(self, rng):
@@ -273,7 +277,7 @@ class TestLossInvariants:
 
         def run(order):
             toks = fuse_tokens([teachers[i] for i in order])
-            fmap = fuse_features(
+            fmap = fuse_tokens(
                 [tokens_to_feature_map(teachers[i], 2, 2) for i in order]
             )
             return _loss_val(total_loss(s, toks, sm, fmap))
@@ -289,7 +293,7 @@ class TestLossInvariants:
         target_map = tokens_to_feature_map(target, 2, 2)
 
         def fn():
-            proj = adapter_project(student_tokens, adapter)
+            proj = adapter.project(student_tokens)
             smap = student_feature_map(proj, 2, 2)
             return total_loss(proj, target, smap, target_map)
 

@@ -32,6 +32,20 @@ class TestAdamWStep:
         assert abs(state.m[0][0] - 0.9 * m0[0]) < 1e-18
         assert abs(state.v[0][0] - 0.999 * v0[0]) < 1e-18
 
+    def test_non_finite_grad_leaves_state_unchanged(self):
+        params = [make_param([0.5, -0.5], "a"), make_param(0.25, "b")]
+        state = init_adamw(params)
+        adamw_step(params, [np.array([0.1, 0.2]), np.array([0.3])], state, lr=1e-2)
+        before = [p.array.copy() for p in params]
+        m, v = [x.copy() for x in state.m], [x.copy() for x in state.v]
+        with pytest.raises(ValueError, match="non-finite"):
+            adamw_step(params, [np.array([1.0, 1.0]), np.array([np.inf])], state, lr=1e-2)
+        for p, b in zip(params, before):
+            np.testing.assert_array_equal(p.array, b)
+        for got, want in zip(state.m + state.v, m + v):
+            np.testing.assert_array_equal(got, want)
+        assert state.t == 1
+
     def test_pure_decoupled_decay(self):
         p = make_param(1.0)
         state = init_adamw([p], weight_decay=0.05, decay=[True])

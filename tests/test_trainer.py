@@ -13,7 +13,7 @@ from fusekd import teachers as tch
 from fusekd import trainer
 from fusekd.augment import AugmentConfig
 from fusekd.config import ScheduleSettings, TrainConfig, serialize_config, parse_config
-from fusekd.fusion import Adapter
+from fusekd.fusion import LOSS_MODES, Adapter
 from fusekd.trainer import (
     NonFiniteLossError,
     distill_step,
@@ -167,14 +167,15 @@ class TestDistillStep:
         bumped.teachers[0].load_arrays(arrays)
         assert loss_with(bumped) != base
 
-    def test_non_finite_batch_reports_index(self, micro_bank):
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_non_finite_batch_reports_index(self, micro_bank, mode):
         bank, student, adapter, state = self._setup(micro_bank)
         images = dat.generate(4, seed=3).float_images()
         images[2] = np.nan
         seeds = [sample_seed(1, i) for i in range(4)]
         with pytest.raises(NonFiniteLossError) as exc_info:
             distill_step(
-                images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3
+                images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3, mode
             )
         assert exc_info.value.batch_index == 2
         assert "2" in str(exc_info.value)
