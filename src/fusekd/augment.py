@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +90,52 @@ def sample_crop_box(
     return ((height - h) // 2, (width - w) // 2, h, w)
 
 
+@lru_cache(maxsize=1024)
+def _axis_weights(n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source indices [lo, hi] and their weights [1 - frac, frac] of one axis, each (2, n_dst).
+
+    Read-only: the arrays are shared by every caller with the same sizes.
+    """
+    src = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
+    src = np.clip(src, 0.0, n_src - 1.0)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, n_src - 1)
+    frac = src - lo
+    out = (np.stack([lo, hi]), np.stack([1 - frac, frac]))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _crop_resize(
+    img: np.ndarray, box: tuple[int, int, int, int], out_h: int, out_w: int, flip: bool = False
+) -> np.ndarray:
+    """Bilinear resize of the crop ``box`` of ``img``, columns reversed when ``flip``.
+
+    The four neighbours of every output pixel come from one gather on flat
+    indices, and the flip is folded into the column order. Each pixel is
+    blended as ((a*(1-fx) + b*fx) * (1-fy)) + ((c*(1-fx) + d*fx) * fy), the
+    same float operations in the same order as resizing a copy of the crop
+    and then flipping it.
+    """
+    top, left, h, w = box
+    if (out_h, out_w) == (h, w):
+        crop = img[..., top : top + h, left : left + w]
+        return np.ascontiguousarray(crop[..., ::-1]) if flip else crop.copy()
+    ys, wy = _axis_weights(h, out_h)
+    xs, wx = _axis_weights(w, out_w)
+    if flip:
+        xs, wx = xs[:, ::-1], wx[:, ::-1]
+    rows = (top + ys) * img.shape[-1]
+    flat = (left + xs)[:, None, None, :] + rows[None, :, :, None]  # (x end, y end, out_h, out_w)
+    lead = img.shape[:-2]
+    g = np.take(img.reshape(lead + (-1,)), flat, axis=-1)
+    blend = g[..., 0, :, :, :] * wx[0]  # lead + (y end, out_h, out_w)
+    blend += g[..., 1, :, :, :] * wx[1]
+    blend *= wy[:, :, None]
+    return blend[..., 0, :, :] + blend[..., 1, :, :]
+
+
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample without corner alignment.
 
@@ -98,29 +145,17 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """
     img = np.asarray(image, dtype=np.float64)
     h, w = img.shape[-2], img.shape[-1]
-    if (out_h, out_w) == (h, w):
-        return img.copy()
-
-    def axis_weights(n_src: int, n_dst: int):
-        src = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
-        src = np.clip(src, 0.0, n_src - 1.0)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, n_src - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    y0, y1, fy = axis_weights(h, out_h)
-    x0, x1, fx = axis_weights(w, out_w)
-    fy = fy[:, None]
-    top = img[..., y0, :][..., x0] * (1 - fx) + img[..., y0, :][..., x1] * fx
-    bot = img[..., y1, :][..., x0] * (1 - fx) + img[..., y1, :][..., x1] * fx
-    return top * (1 - fy) + bot * fy
+    return _crop_resize(img, (0, 0, h, w), out_h, out_w)
 
 
 def resized_crop(image: np.ndarray, box: tuple[int, int, int, int], out_size: int) -> np.ndarray:
-    top, left, h, w = box
     img = _check_image(image)
-    return bilinear_resize(img[:, top : top + h, left : left + w], out_size, out_size)
+    top, left, h, w = box
+    if not (0 <= top and top + h <= img.shape[1] and 0 < h) or not (
+        0 <= left and left + w <= img.shape[2] and 0 < w
+    ):
+        raise ValueError(f"crop box {box} outside the {img.shape[1]}x{img.shape[2]} image")
+    return _crop_resize(img, box, out_size, out_size)
 
 
 def random_resized_crop(
@@ -141,25 +176,33 @@ def horizontal_flip(image: np.ndarray, flag: bool) -> np.ndarray:
 
 
 _LUMA = np.array([0.299, 0.587, 0.114])
+_LUMA_ROW = _LUMA.reshape(1, 3)
 
 
 def apply_jitter(image: np.ndarray, order: tuple[str, ...], factors: tuple[float, ...]) -> np.ndarray:
     """Apply named jitter operations in order, clamping to [0, 1] after each."""
-    img = np.asarray(image, dtype=np.float64).copy()
+    img = np.array(image, dtype=np.float64, order="C")
     for op, f in zip(order, factors):
         if f == 1.0:  # exact no-op keeps strengths-0 views bit-identical
             continue
         if op == "brightness":
-            img = img * f
+            img *= f
         elif op == "contrast":
-            mean = float((_LUMA @ img.reshape(3, -1)).mean())
-            img = (img - mean) * f + mean
+            luma = _LUMA @ img.reshape(3, -1)
+            mean = float(luma.sum() / luma.size)  # what np.mean computes
+            img -= mean
+            img *= f
+            img += mean
         elif op == "saturation":
-            luma = np.tensordot(_LUMA, img, axes=(0, 0))[None]
-            img = (img - luma) * f + luma
+            # the (1, 3) @ (3, H*W) product np.tensordot(_LUMA, img, axes=(0, 0)) makes
+            luma = np.dot(_LUMA_ROW, img.reshape(3, -1)).reshape((1,) + img.shape[1:])
+            img -= luma
+            img *= f
+            img += luma
         else:
             raise ValueError(f"unknown jitter op {op!r}")
-        img = np.clip(img, 0.0, 1.0)
+        np.maximum(img, 0.0, out=img)
+        np.minimum(img, 1.0, out=img)
     return img
 
 
@@ -196,7 +239,7 @@ def make_views(image: np.ndarray, rng: np.random.Generator, config: AugmentConfi
     order, factors = sample_jitter(
         rng, (config.brightness, config.contrast, config.saturation)
     )
-    shared = horizontal_flip(resized_crop(img, box, out_size), flip)
+    shared = _crop_resize(img, box, out_size, out_size, flip)
     return ViewPair(
         teacher_view=shared,
         student_view=apply_jitter(shared, order, factors),

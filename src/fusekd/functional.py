@@ -23,7 +23,11 @@ def _as_f64(x) -> np.ndarray:
 
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Stable softmax along `axis` (max-subtracted)."""
-    arr = _as_f64(x)
+    return softmax_finite(_as_f64(x), axis)
+
+
+def softmax_finite(arr: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``softmax`` of a float64 array already known to be finite (no re-scan)."""
     if arr.size == 0 or arr.shape[axis] < 1:
         raise ValueError("softmax of empty axis")
     shifted = arr - arr.max(axis=axis, keepdims=True)
@@ -32,7 +36,11 @@ def softmax(x, axis: int = -1) -> np.ndarray:
 
 
 def log_softmax(x, axis: int = -1) -> np.ndarray:
-    arr = _as_f64(x)
+    return log_softmax_finite(_as_f64(x), axis)
+
+
+def log_softmax_finite(arr: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``log_softmax`` of a float64 array already known to be finite (no re-scan)."""
     if arr.size == 0 or arr.shape[axis] < 1:
         raise ValueError("log_softmax of empty axis")
     shifted = arr - arr.max(axis=axis, keepdims=True)
@@ -78,14 +86,29 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> np.ndarray:
     return g * (arr - mu) / np.sqrt(var + eps) + b
 
 
+def gelu_erf(arr: np.ndarray) -> np.ndarray:
+    """erf(x / sqrt(2)), the one transcendental shared by GELU and its derivative."""
+    return erf(arr * _INV_SQRT2)
+
+
+def gelu_from_erf(arr: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """GELU given ``e = gelu_erf(arr)``."""
+    return 0.5 * arr * (1.0 + e)
+
+
+def gelu_grad_from_erf(arr: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """d GELU / dx given ``e = gelu_erf(arr)``: CDF + x * PDF."""
+    cdf = 0.5 * (1.0 + e)
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * arr * arr)
+    return cdf + arr * pdf
+
+
 def gelu(x) -> np.ndarray:
     """Exact erf-based GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     arr = _as_f64(x)
-    return 0.5 * arr * (1.0 + erf(arr * _INV_SQRT2))
+    return gelu_from_erf(arr, gelu_erf(arr))
 
 
 def gelu_grad(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    cdf = 0.5 * (1.0 + erf(arr * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * arr * arr)
-    return cdf + arr * pdf
+    return gelu_grad_from_erf(arr, gelu_erf(arr))

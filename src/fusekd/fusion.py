@@ -118,7 +118,7 @@ class Adapter:
             raise ValueError(
                 f"adapter expects width {self.weight.shape[0]}, got {tokens.shape[-1]}"
             )
-        return T.add(T.matmul(tokens, self.weight), self.bias)
+        return T.linear(tokens, self.weight, self.bias)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]

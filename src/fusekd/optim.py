@@ -76,16 +76,26 @@ def adamw_step(
             raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {p.name!r}")
-    state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    t = state.t + 1
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    updates = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
+        m = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
         wd = state.weight_decay if state.decay[i] else 0.0
-        p.assign(p.array - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + wd * p.array))
+        new = p.array - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + wd * p.array)
+        # an overflowing update must not be half applied: check all, then commit
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
+            raise ValueError(f"non-finite update for {p.name!r}")
+        updates.append((m, v, new))
+    for i, (p, (m, v, new)) in enumerate(zip(params, updates)):
+        state.m[i] = m
+        state.v[i] = v
+        p.assign(new)
+    state.t = t
     return state
 
 

@@ -143,7 +143,7 @@ def train_masked_reconstruction(
             with GradTape() as tape:
                 tokens = enc.encode_batch(masked_imgs)
                 patch_tokens = T.slice_axis(tokens, 1, 1, n_patches + 1)
-                pred = T.add(T.matmul(patch_tokens, head_w), head_b)
+                pred = T.linear(patch_tokens, head_w, head_b)
                 diff = T.sub(pred, target)
                 sq = T.mul(T.mul(diff, diff), weight)
                 loss = T.scale(T.sum_all(sq), 1.0 / (mask.sum() * pd))
@@ -180,7 +180,7 @@ def train_instance_contrastive(
     def embed_views(view_batch: np.ndarray, b: int) -> Tensor:
         tokens = enc.encode_batch(view_batch)
         cls = T.reshape(T.slice_axis(tokens, 1, 0, 1), (b, d))
-        return T.layer_norm(T.add(T.matmul(cls, head_w), head_b), norm_g, norm_b)
+        return T.layer_norm(T.linear(cls, head_w, head_b), norm_g, norm_b)
 
     for epoch in range(epochs):
         order_rng = np.random.default_rng([seed, 19, epoch])

@@ -1,10 +1,10 @@
 """Dense float64 tensors and tape-based reverse-mode differentiation.
 
-The primitive set is closed: matmul, add/sub/mul, scalar scale, GELU,
-softmax, log-softmax, layer-norm, full-sum, reshape, transpose, axis
-slice and concat. Each primitive carries a hand-derived adjoint. Ops
-record onto the innermost active ``GradTape`` in execution order;
-``GradTape.gradients`` replays the records in reverse.
+The primitive set is closed: matmul, linear (matmul plus bias), add/sub/mul,
+scalar scale, GELU, softmax, log-softmax, layer-norm, full-sum, reshape,
+transpose, axis slice and concat. Each primitive carries a hand-derived
+adjoint. Ops record onto the innermost active ``GradTape`` in execution
+order; ``GradTape.gradients`` replays the records in reverse.
 
 Tensors are immutable once constructed (arrays are flagged read-only);
 parameters are updated only through ``Tensor.assign``, which rebinds the
@@ -189,6 +189,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one record; same bits as ``add(matmul(x, w), b)``."""
+    if x.array.ndim < 2 or w.array.ndim < 2:
+        raise ValueError("linear requires >=2-D operands")
+    out = x.array @ w.array
+    out += b.array
+
+    def backward(g):
+        return (
+            _unbroadcast(g @ _swap_last(w.array), x.shape),
+            _unbroadcast(_swap_last(x.array) @ g, w.shape),
+            _unbroadcast(g, b.shape),
+        )
+
+    return _emit(out, (x, w, b), backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -223,15 +240,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    def backward(g):
-        return (g * F.gelu_grad(a.array),)
+    # erf is most of GELU's cost; the adjoint reuses the forward's
+    e = F.gelu_erf(a.array)
 
-    return _emit(F.gelu(a.array), (a,), backward)
+    def backward(g):
+        return (g * F.gelu_grad_from_erf(a.array, e),)
+
+    return _emit(F.gelu_from_erf(a.array, e), (a,), backward)
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    y = F.softmax(a.array, axis=-1)
+    y = F.softmax_finite(a.array, axis=-1)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -241,7 +261,7 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    y = F.log_softmax(a.array, axis=-1)
+    y = F.log_softmax_finite(a.array, axis=-1)
     p = np.exp(y)
 
     def backward(g):
@@ -259,7 +279,7 @@ def kl_vs_constant(a: Tensor, target_logits: np.ndarray) -> Tensor:
     softmax/log-softmax route leaves ~1e-16 gradient noise there, which the
     optimizer's eps-normalization would amplify into real parameter drift.
     """
-    lp = F.log_softmax(a.array, axis=-1)
+    lp = F.log_softmax_finite(a.array, axis=-1)
     lq = F.log_softmax(np.asarray(target_logits, dtype=np.float64), axis=-1)
     if lp.shape != lq.shape:
         raise ValueError(f"shape mismatch: {lp.shape} vs {lq.shape}")
@@ -282,9 +302,10 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     if d < 2:
         raise ValueError("layer_norm needs at least 2 features")
     mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xn = (x - mu) * inv
+    xn = xc * inv
     out = gamma.array * xn + beta.array
 
     def backward(g):

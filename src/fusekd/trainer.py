@@ -451,12 +451,16 @@ def sweep_teacher_combinations(
     """Train once per teacher subset at a fixed seed/budget and tabulate."""
     if not subsets:
         raise ValueError("need at least one subset")
-    bank = load_bank(list(cfg.teacher_paths))
-    full = tuple(range(len(cfg.teacher_paths)))
-    runs = []
+    m = len(cfg.teacher_paths)
     for subset in subsets:
         if not subset:
             raise ValueError("subsets must be non-empty")
+        if any(not 0 <= i < m for i in subset):
+            raise ValueError(f"subset {tuple(subset)} has a teacher index outside 0..{m - 1}")
+    bank = load_bank(list(cfg.teacher_paths))
+    full = tuple(range(m))
+    runs = []
+    for subset in subsets:
         overrides = {
             "teacher_paths": tuple(cfg.teacher_paths[i] for i in subset),
             "out_dir": str(Path(cfg.out_dir) / ("teachers_" + "_".join(map(str, subset)))),

@@ -181,7 +181,7 @@ class ViTEncoder:
         b = imgs.shape[0]
         d = self.config.embed_dim
         patches = Tensor(patchify(imgs, self.config.patch_size))
-        x = T.add(T.matmul(patches, self.patch_w), self.patch_b)  # (B, N, D)
+        x = T.linear(patches, self.patch_w, self.patch_b)  # (B, N, D)
         cls = T.add(
             T.reshape(self.cls_token, (1, 1, d)), Tensor(np.zeros((b, 1, d)))
         )  # broadcast to (B, 1, D)
@@ -221,7 +221,7 @@ class ViTEncoder:
         dh = d // heads
         for blk in self.blocks:
             h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"], LN_EPS)
-            qkv = T.add(T.matmul(h, blk["qkv_w"]), blk["qkv_b"])  # (B, T, 3D)
+            qkv = T.linear(h, blk["qkv_w"], blk["qkv_b"])  # (B, T, 3D)
             q = self._split_heads(T.slice_axis(qkv, 2, 0, d), b, t_len, heads, dh)
             k = self._split_heads(T.slice_axis(qkv, 2, d, 2 * d), b, t_len, heads, dh)
             v = self._split_heads(T.slice_axis(qkv, 2, 2 * d, 3 * d), b, t_len, heads, dh)
@@ -229,10 +229,10 @@ class ViTEncoder:
             attn = T.softmax(scores)  # (B, heads, T, T)
             ctx = T.matmul(attn, v)  # (B, heads, T, dh)
             ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t_len, d))
-            x = T.add(x, T.add(T.matmul(ctx, blk["proj_w"]), blk["proj_b"]))
+            x = T.add(x, T.linear(ctx, blk["proj_w"], blk["proj_b"]))
             h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"], LN_EPS)
-            m = T.gelu(T.add(T.matmul(h2, blk["fc1_w"]), blk["fc1_b"]))
-            m = T.add(T.matmul(m, blk["fc2_w"]), blk["fc2_b"])
+            m = T.gelu(T.linear(h2, blk["fc1_w"], blk["fc1_b"]))
+            m = T.linear(m, blk["fc2_w"], blk["fc2_b"])
             x = T.add(x, m)
         return T.layer_norm(x, self.ln_f_g, self.ln_f_b, LN_EPS)
 

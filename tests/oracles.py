@@ -39,6 +39,35 @@ def gelu_scalar(x):
     return 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def bilinear_resize_naive(image, out_h, out_w):
+    """Per-pixel bilinear resample of C x H x W nested lists, no corner alignment.
+
+    Source coordinate (i + 0.5) * (src / dst) - 0.5, clamped; each output is
+    ((a*(1-fx) + b*fx) * (1-fy)) + ((c*(1-fx) + d*fx) * fy).
+    """
+    h, w = len(image[0]), len(image[0][0])
+
+    def coord(i, n_src, n_dst):
+        s = min(max((i + 0.5) * (n_src / n_dst) - 0.5, 0.0), n_src - 1.0)
+        lo = math.floor(s)
+        return lo, min(lo + 1, n_src - 1), s - lo
+
+    out = []
+    for ch in image:
+        plane = []
+        for i in range(out_h):
+            y0, y1, fy = coord(i, h, out_h)
+            row = []
+            for j in range(out_w):
+                x0, x1, fx = coord(j, w, out_w)
+                top = ch[y0][x0] * (1 - fx) + ch[y0][x1] * fx
+                bot = ch[y1][x0] * (1 - fx) + ch[y1][x1] * fx
+                row.append(top * (1 - fy) + bot * fy)
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
 def fuse_naive(mats):
     """Triple-loop elementwise sum of equally shaped nested lists (2-D)."""
     rows, cols = len(mats[0]), len(mats[0][0])

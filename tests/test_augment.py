@@ -7,6 +7,7 @@ fixed seed and frozen as regression anchors.
 import numpy as np
 import pytest
 
+import oracles
 from fusekd import augment as aug
 from fusekd.augment import AugmentConfig
 
@@ -58,6 +59,47 @@ class TestBilinearResize:
         out = aug.bilinear_resize(img, 1, 4)
         # centers at src coords -0.25, 0.25, 0.75, 1.25 (clamped)
         np.testing.assert_allclose(out[0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
+
+
+class TestResizeMatchesLoopOracle:
+    """The one-gather resize and make_views' fused crop + flip equal a per-pixel loop, bitwise."""
+
+    def test_bilinear_resize_every_source_size(self, rng):
+        for h in range(1, 17):
+            for w in range(1, 17):
+                img = rng.random((3, h, w))
+                want = oracles.bilinear_resize_naive(img.tolist(), 16, 16)
+                np.testing.assert_array_equal(aug.bilinear_resize(img, 16, 16), want)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_fused_crop_flip_every_crop_size(self, rng, flip):
+        img = rng.random((3, 16, 16))
+        planes = img.tolist()
+        for h in range(1, 17):
+            for w in range(1, 17):
+                top, left = (3 * h) % (17 - h), (5 * w) % (17 - w)
+                crop = [[row[left : left + w] for row in ch[top : top + h]] for ch in planes]
+                want = oracles.bilinear_resize_naive(crop, 16, 16)
+                if flip:
+                    want = [[row[::-1] for row in ch] for ch in want]
+                got = aug._crop_resize(img, (top, left, h, w), 16, 16, flip)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("box", [(-1, 0, 4, 4), (0, 0, 9, 4), (0, 6, 4, 3), (0, 0, 0, 4)])
+    def test_resized_crop_rejects_box_outside_image(self, box):
+        with pytest.raises(ValueError, match="crop box"):
+            aug.resized_crop(ramp_image(), box, 8)
+
+    def test_make_views_teacher_view_over_50_seeds(self, rng):
+        img = rng.random((3, 16, 16))
+        for seed in range(50):
+            pair = aug.make_views(img, np.random.default_rng(seed), AugmentConfig())
+            top, left, h, w = pair.record.crop_box
+            crop = img[:, top : top + h, left : left + w]
+            want = np.array(oracles.bilinear_resize_naive(crop.tolist(), 16, 16))
+            if pair.record.flip:
+                want = want[..., ::-1]
+            np.testing.assert_array_equal(pair.teacher_view, want)
 
 
 class TestHorizontalFlip:

@@ -1,7 +1,5 @@
 """CLI dispatch, exit codes, and command behaviour on a micro setup."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -115,6 +113,24 @@ class TestDistillAndEval:
 
     def test_missing_config_is_runtime_error(self, capsys):
         assert main(["distill", "--config", "/does/not/exist.cfg"]) == 2
+
+
+class TestSweepTeachers:
+    @pytest.mark.parametrize("index", ["7", "-1"])
+    def test_out_of_range_subset_is_runtime_error(self, cli_env, tmp_path, capsys, index):
+        root, cfg_path = cli_env
+        # three copies of the one teacher: a 3-teacher bank with valid indices 0..2
+        t0 = str(root / "t0.dmtc")
+        cfg_text = cfg_path.read_text().replace(
+            f"out_dir={root / 'run'}", f"out_dir={tmp_path / 'sw'}"
+        ).replace(f"teacher_paths={t0}", f"teacher_paths={t0},{t0},{t0}")
+        p = tmp_path / "sw.cfg"
+        p.write_text(cfg_text)
+        assert main(["sweep-teachers", "--config", str(p), "--subsets", f"0;{index}"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "outside 0..2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sw").exists()
 
 
 class TestGradcheckCommand:

@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from fusekd import functional as F
-from fusekd import tensor as T
 from fusekd.fusion import (
     Adapter,
     feature_map_to_tokens,

@@ -46,6 +46,19 @@ class TestAdamWStep:
             np.testing.assert_array_equal(got, want)
         assert state.t == 1
 
+    def test_overflowing_update_leaves_state_unchanged(self):
+        # finite grads, but the decay term of the second parameter overflows
+        params = [make_param([0.5, -0.5], "a"), make_param(1e308, "b")]
+        state = init_adamw(params, weight_decay=4.0, decay=[True, True])
+        before = [p.array.copy() for p in params]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            adamw_step(params, [np.array([0.1, 0.2]), np.array([0.3])], state, lr=1.0)
+        for p, b in zip(params, before):
+            np.testing.assert_array_equal(p.array, b)
+        for moment in state.m + state.v:
+            np.testing.assert_array_equal(moment, 0.0)
+        assert state.t == 0
+
     def test_pure_decoupled_decay(self):
         p = make_param(1.0)
         state = init_adamw([p], weight_decay=0.05, decay=[True])

@@ -213,6 +213,49 @@ class TestTapeGradients:
         np.testing.assert_array_equal(g, [[1.0, 1.0]])
 
 
+class TestFusedKernelsMatchUnfused:
+    """``linear`` and GELU's shared erf reproduce the unfused kernels bit for bit."""
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)], ids=["2d", "3d"])
+    def test_linear_equals_add_matmul_bitwise(self, x_shape, rng):
+        x = Tensor(rng.normal(size=x_shape), parameter=True)
+        w = Tensor(rng.normal(size=(4, 3)), parameter=True)
+        b = Tensor(rng.normal(size=(3,)), parameter=True)
+        upstream = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+
+        def forward_and_grads(op):
+            with GradTape() as tape:
+                out = op()
+                loss = T.sum_all(T.mul(out, upstream))
+            return out.array, tape.gradients(loss, [x, w, b])
+
+        out, grads = forward_and_grads(lambda: T.linear(x, w, b))
+        ref_out, ref_grads = forward_and_grads(lambda: T.add(T.matmul(x, w), b))
+        np.testing.assert_array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_linear_passes_grad_check(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), parameter=True, name="x")
+        w = Tensor(rng.normal(size=(4, 3)), parameter=True, name="w")
+        b = Tensor(rng.normal(size=(3,)), parameter=True, name="b")
+        report = run_grad_check(lambda: T.sum_all(T.gelu(T.linear(x, w, b))), [x, w, b])
+        assert report.passed, report.summary()
+
+    def test_gelu_forward_and_adjoint_equal_functional_bitwise(self, rng):
+        xs = np.concatenate([np.linspace(-6.0, 6.0, 1201), rng.normal(scale=3.0, size=399)])
+        args = np.abs(xs / np.sqrt(2.0))
+        assert (args <= 1.0).any() and (args > 1.0).any()  # both erf branches
+        x = Tensor(xs.reshape(4, -1), parameter=True)
+        upstream = rng.normal(size=x.shape)
+        with GradTape() as tape:
+            y = T.gelu(x)
+            loss = T.sum_all(T.mul(y, Tensor(upstream)))
+        (g,) = tape.gradients(loss, [x])
+        np.testing.assert_array_equal(y.array, F.gelu(x.array))
+        np.testing.assert_array_equal(g, upstream * F.gelu_grad(x.array))
+
+
 PRIMITIVE_CASES = [
     ("matmul", lambda p, q: T.sum_all(T.gelu(T.matmul(p, q))), (3, 4), (4, 2)),
     ("batched_matmul", lambda p, q: T.sum_all(T.matmul(T.reshape(p, (2, 3, 2)), q)), (3, 2, 2), (2, 5)),

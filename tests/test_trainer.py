@@ -1,5 +1,6 @@
 """Training orchestration: steps, full runs, probing, sweeps, state I/O."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -133,6 +134,16 @@ class TestDistillStep:
         assert losses.total == pytest.approx(0.5948400990610558, abs=1e-12)
         assert losses.token == pytest.approx(0.46415089413648497, abs=1e-12)
         assert losses.spatial == pytest.approx(0.13068920492457087, abs=1e-12)
+        # exact bits: a kernel rewrite that reorders float work moves these
+        assert losses.total.hex() == "0x1.308ee1a7a21e0p-1"
+        assert losses.token.hex() == "0x1.db4a5f3ae6c51p-2"
+        assert losses.spatial.hex() == "0x1.0ba6c828baedep-3"
+        digest = hashlib.sha256()
+        for p in student.parameters() + adapter.parameters():
+            digest.update(p.array.tobytes())
+        assert digest.hexdigest() == (
+            "d036353f2bbfb41b884976c31a687187f582db9388aa7c5899cce36aedc96003"
+        )
 
     def test_teachers_untouched_by_steps(self, micro_bank):
         bank, student, adapter, state = self._setup(micro_bank)
