@@ -18,7 +18,7 @@ from .fusion import (
     tokens_to_feature_map,
     total_loss,
 )
-from .functional import gelu, kl_divergence, layer_norm, softmax
+from .functional import gelu, kl_divergence, softmax
 from .optim import AdamWState, ScheduleConfig, adamw_step, init_adamw, lr_at
 from .teachers import TeacherBank, load_bank, make_toy_teacher, save_teacher
 from .tensor import GradTape, Tensor, no_tape, run_grad_check

@@ -57,17 +57,17 @@ def _check_image(image: np.ndarray) -> np.ndarray:
     return img
 
 
+RATIO_RANGE = (3.0 / 4.0, 4.0 / 3.0)  # crop aspect (w / h) bounds
+
+
 def sample_crop_box(
-    height: int,
-    width: int,
-    rng: np.random.Generator,
-    scale_range: tuple[float, float],
-    ratio_range: tuple[float, float] = (3.0 / 4.0, 4.0 / 3.0),
+    height: int, width: int, rng: np.random.Generator, scale_range: tuple[float, float]
 ) -> tuple[int, int, int, int]:
     """Sample (top, left, h, w): area fraction from scale_range, aspect
-    log-uniform from ratio_range, 10 attempts then a clamped center fallback."""
+    log-uniform from RATIO_RANGE, 10 attempts then a clamped center fallback."""
+    lo_ratio, hi_ratio = RATIO_RANGE
     area = height * width
-    log_lo, log_hi = math.log(ratio_range[0]), math.log(ratio_range[1])
+    log_lo, log_hi = math.log(lo_ratio), math.log(hi_ratio)
     for _ in range(10):
         target_area = area * rng.uniform(scale_range[0], scale_range[1])
         aspect = math.exp(rng.uniform(log_lo, log_hi))
@@ -79,12 +79,12 @@ def sample_crop_box(
             return (top, left, h, w)
     # fallback: largest crop at the nearest in-range aspect, centered
     in_ratio = width / height
-    if in_ratio < ratio_range[0]:
+    if in_ratio < lo_ratio:
         w = width
-        h = min(height, int(round(w / ratio_range[0])))
-    elif in_ratio > ratio_range[1]:
+        h = min(height, int(round(w / lo_ratio)))
+    elif in_ratio > hi_ratio:
         h = height
-        w = min(width, int(round(h * ratio_range[1])))
+        w = min(width, int(round(h * hi_ratio)))
     else:
         w, h = width, height
     return ((height - h) // 2, (width - w) // 2, h, w)
@@ -112,6 +112,11 @@ def _crop_resize(
 ) -> np.ndarray:
     """Bilinear resize of the crop ``box`` of ``img``, columns reversed when ``flip``.
 
+    No corner alignment: the source coordinate of output index i is
+    (i + 0.5) * (src / dst) - 0.5, clamped to the valid range, and each
+    output is the area-weighted blend of the four neighbouring pixels. The
+    box must lie inside the image.
+
     The four neighbours of every output pixel come from one gather on flat
     indices, and the flip is folded into the column order. Each pixel is
     blended as ((a*(1-fx) + b*fx) * (1-fy)) + ((c*(1-fx) + d*fx) * fy), the
@@ -134,45 +139,6 @@ def _crop_resize(
     blend += g[..., 1, :, :, :] * wx[1]
     blend *= wy[:, :, None]
     return blend[..., 0, :, :] + blend[..., 1, :, :]
-
-
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample without corner alignment.
-
-    Source coordinate for output index i is (i + 0.5) * (src / dst) - 0.5,
-    clamped to the valid range; each output is the area-weighted blend of
-    the four neighbouring pixels.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape[-2], img.shape[-1]
-    return _crop_resize(img, (0, 0, h, w), out_h, out_w)
-
-
-def resized_crop(image: np.ndarray, box: tuple[int, int, int, int], out_size: int) -> np.ndarray:
-    img = _check_image(image)
-    top, left, h, w = box
-    if not (0 <= top and top + h <= img.shape[1] and 0 < h) or not (
-        0 <= left and left + w <= img.shape[2] and 0 < w
-    ):
-        raise ValueError(f"crop box {box} outside the {img.shape[1]}x{img.shape[2]} image")
-    return _crop_resize(img, box, out_size, out_size)
-
-
-def random_resized_crop(
-    image: np.ndarray,
-    rng: np.random.Generator,
-    scale_range: tuple[float, float],
-    out_size: int,
-    ratio_range: tuple[float, float] = (3.0 / 4.0, 4.0 / 3.0),
-) -> np.ndarray:
-    img = _check_image(image)
-    box = sample_crop_box(img.shape[1], img.shape[2], rng, scale_range, ratio_range)
-    return resized_crop(img, box, out_size)
-
-
-def horizontal_flip(image: np.ndarray, flag: bool) -> np.ndarray:
-    img = np.asarray(image, dtype=np.float64)
-    return np.ascontiguousarray(img[..., ::-1]) if flag else img.copy()
 
 
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -216,16 +182,6 @@ def sample_jitter(
     by_op = {op: rng.uniform(1.0 - s, 1.0 + s) for op, s in zip(_JITTER_OPS, strengths)}
     order = tuple(_JITTER_OPS[i] for i in order_idx)
     return order, tuple(float(by_op[op]) for op in order)
-
-
-def color_jitter(
-    image: np.ndarray,
-    rng: np.random.Generator,
-    strengths: tuple[float, float, float],
-) -> np.ndarray:
-    img = _check_image(image)
-    order, factors = sample_jitter(rng, strengths)
-    return apply_jitter(img, order, factors)
 
 
 def make_views(image: np.ndarray, rng: np.random.Generator, config: AugmentConfig) -> ViewPair:

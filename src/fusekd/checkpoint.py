@@ -10,7 +10,9 @@ the start of the payload section. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +94,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         doc = json.loads(raw[16 : 16 + md_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MetadataError(f"{path}: unreadable metadata: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MetadataError(f"{path}: metadata is not a JSON object")
+    entries, meta = doc.get("tensors", []), doc.get("meta", {})
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise MetadataError(f"{path}: 'tensors' must be a list and 'meta' an object")
     payload = raw[16 + md_len :]
     tensors: dict[str, np.ndarray] = {}
-    for entry in doc.get("tensors", []):
+    for entry in entries:
         try:
             name, shape, dtype, offset = (
                 entry["name"],
@@ -104,10 +111,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MetadataError(f"{path}: malformed tensor entry {entry!r}") from exc
-        if dtype not in _DTYPES:
+        if not isinstance(name, str) or any(s < 0 for s in shape):
+            raise MetadataError(f"{path}: malformed tensor entry {entry!r}")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise MetadataError(f"{path}: tensor {name}: unknown dtype {dtype!r}")
         np_dtype = _DTYPES[dtype]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # exact: a huge shape cannot wrap round to a small count
         end = offset + count * np_dtype.itemsize
         if offset < 0 or end > len(payload):
             raise TruncatedError(
@@ -118,7 +127,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             .reshape(shape)
             .astype(np.float64 if dtype == "f64" else np.float32)
         )
-    return tensors, doc.get("meta", {})
+    return tensors, meta
+
+
+@contextmanager
+def content_errors(path: str | Path):
+    """Report a missing or ill-typed field of a loaded checkpoint as MetadataError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MetadataError(f"{path}: malformed checkpoint content: {exc!r}") from exc
 
 
 def describe(path: str | Path) -> dict:

@@ -104,6 +104,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_make_teachers(args) -> int:
+    flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
+    unknown = [f for f in flavors if f not in tch.FLAVORS]
+    if unknown:
+        raise ValueError(f"unknown flavor(s) {unknown}; expected a subset of {list(tch.FLAVORS)}")
     train_ds, _ = dat.load_splits(args.data)
     images = train_ds.float_images()
     out = Path(args.out)
@@ -116,10 +120,7 @@ def _cmd_make_teachers(args) -> int:
         embed_dim=args.embed_dim,
         num_heads=base.num_heads,
     )
-    flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
     for flavor in flavors:
-        if flavor not in tch.FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
         enc = tch.make_toy_teacher(
             args.seed, flavor, images=images, config=cfg, epochs=args.epochs
         )
@@ -166,20 +167,19 @@ def _cmd_sweep_teachers(args) -> int:
         for size in range(1, m + 1):
             subsets.extend(combinations(range(m), size))
     table = trainer.sweep_teacher_combinations(cfg, subsets, probe_epochs=args.probe_epochs)
-    text = table.render()
-    print(text)
-    out = Path(cfg.out_dir) / "sweep_teachers.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text + "\n")
-    return 0
+    return _report_sweep(table, Path(cfg.out_dir) / "sweep_teachers.txt")
 
 
 def _cmd_sweep_losses(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     table = trainer.sweep_loss_modes(cfg, probe_epochs=args.probe_epochs)
+    return _report_sweep(table, Path(cfg.out_dir) / "sweep_losses.txt")
+
+
+def _report_sweep(table: trainer.SweepTable, out: Path) -> int:
+    """Print the rendered table and write it, newline-terminated, to ``out``."""
     text = table.render()
     print(text)
-    out = Path(cfg.out_dir) / "sweep_losses.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text + "\n")
     return 0
@@ -241,7 +241,8 @@ def _cmd_inspect(args) -> int:
         print(f"{row['name']:<28s} {shape:<18s} {row['dtype']:<6s} {row['size']:>10d}")
     print(f"total_parameters: {info['total_parameters']}")
     if meta.get("kind") == "teacher" and "config" in meta:
-        expected = param_count(ViTConfig(**meta["config"]))
+        with ckpt.content_errors(args.path):
+            expected = param_count(ViTConfig(**meta["config"]))
         print(f"config_param_count: {expected}")
     return 0
 

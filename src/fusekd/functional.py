@@ -69,23 +69,6 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(pa[mask] * (np.log(pa[mask]) - np.log(qa[mask]))))
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> np.ndarray:
-    """Normalize the last axis with biased variance, then affine map."""
-    arr = _as_f64(x)
-    g = _as_f64(gamma)
-    b = _as_f64(beta)
-    d = arr.shape[-1]
-    if d < 2:
-        raise ValueError("layer_norm needs at least 2 features")
-    if g.shape != (d,) or b.shape != (d,):
-        raise ValueError("gamma/beta shape mismatch")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    mu = arr.mean(axis=-1, keepdims=True)
-    var = ((arr - mu) ** 2).mean(axis=-1, keepdims=True)
-    return g * (arr - mu) / np.sqrt(var + eps) + b
-
-
 def gelu_erf(arr: np.ndarray) -> np.ndarray:
     """erf(x / sqrt(2)), the one transcendental shared by GELU and its derivative."""
     return erf(arr * _INV_SQRT2)

@@ -66,15 +66,6 @@ def tokens_to_feature_map(tokens: np.ndarray, grid_h: int, grid_w: int) -> np.nd
     return np.ascontiguousarray(np.moveaxis(x, -1, -3))
 
 
-def feature_map_to_tokens(fmap: np.ndarray) -> np.ndarray:
-    """Inverse of ``tokens_to_feature_map`` minus the class token row."""
-    arr = np.asarray(fmap, dtype=np.float64)
-    d = arr.shape[-3]
-    lead = arr.shape[:-3]
-    x = np.moveaxis(arr, -3, -1)  # (..., H', W', D)
-    return np.ascontiguousarray(x.reshape(lead + (-1, d)))
-
-
 def student_feature_map(tokens: Tensor, grid_h: int, grid_w: int) -> Tensor:
     """Tape-aware version of ``tokens_to_feature_map`` for the student."""
     n = tokens.shape[-2] - 1

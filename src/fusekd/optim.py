@@ -9,22 +9,24 @@ import numpy as np
 from .tensor import Tensor
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamWState:
     """Per-parameter moments plus the shared step counter.
 
     ``decay`` marks which parameters receive weight decay; LN gains/biases,
-    biases, class tokens and positional embeddings are conventionally exempt
-    (the trainer builds the flags).
+    biases, class tokens and positional embeddings are exempt by name
+    (``decay_flag``).
     """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     decay: list[bool]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.05
 
 
@@ -35,25 +37,11 @@ def decay_flag(name: str) -> bool:
     return not name.endswith(_NO_DECAY_SUFFIXES)
 
 
-def init_adamw(
-    params: list[Tensor],
-    weight_decay: float = 0.05,
-    decay: list[bool] | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamWState:
-    if decay is None:
-        decay = [decay_flag(p.name or "") for p in params]
-    if len(decay) != len(params):
-        raise ValueError("decay flags must align with params")
+def init_adamw(params: list[Tensor], weight_decay: float = 0.05) -> AdamWState:
     return AdamWState(
         m=[np.zeros(p.shape) for p in params],
         v=[np.zeros(p.shape) for p in params],
-        decay=list(decay),
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
+        decay=[decay_flag(p.name or "") for p in params],
         weight_decay=weight_decay,
     )
 
@@ -77,16 +65,16 @@ def adamw_step(
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {p.name!r}")
     t = state.t + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     updates = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        m = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        m = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
         wd = state.weight_decay if state.decay[i] else 0.0
-        new = p.array - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + wd * p.array)
+        new = p.array - lr * (m_hat / (np.sqrt(v_hat) + EPS) + wd * p.array)
         # an overflowing update must not be half applied: check all, then commit
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
             raise ValueError(f"non-finite update for {p.name!r}")

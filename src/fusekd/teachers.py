@@ -37,6 +37,11 @@ DEFAULT_TEACHER_CONFIG = ViTConfig(
 )
 
 
+TEACHER_LR = 1e-3  # AdamW learning rate of both toy-teacher objectives
+MASK_RATIO = 0.5  # fraction of patches the masked regressor hides
+TEMPERATURE = 0.2  # InfoNCE temperature of the contrastive teacher
+
+
 class BankMismatchError(ValueError):
     """Teachers in one bank must share image size, patch size and width."""
 
@@ -110,8 +115,6 @@ def train_masked_reconstruction(
     seed: int,
     epochs: int = 20,
     batch_size: int = 64,
-    lr: float = 1e-3,
-    mask_ratio: float = 0.5,
 ) -> tuple[ViTEncoder, list[float]]:
     """Mask patches at pixel level, regress their original pixels with a
     linear head from the corresponding tokens. Returns per-epoch mean loss."""
@@ -124,7 +127,7 @@ def train_masked_reconstruction(
     state = optim.init_adamw(params, weight_decay=0.0)
     n = images.shape[0]
     n_patches = config.num_patches
-    n_masked = max(1, int(round(mask_ratio * n_patches)))
+    n_masked = max(1, int(round(MASK_RATIO * n_patches)))
     history = []
     for epoch in range(epochs):
         order_rng = np.random.default_rng([seed, 13, epoch])
@@ -148,7 +151,7 @@ def train_masked_reconstruction(
                 sq = T.mul(T.mul(diff, diff), weight)
                 loss = T.scale(T.sum_all(sq), 1.0 / (mask.sum() * pd))
             grads = tape.gradients(loss, params)
-            optim.adamw_step(params, grads, state, lr)
+            optim.adamw_step(params, grads, state, TEACHER_LR)
             epoch_losses.append(loss.item())
         history.append(float(np.mean(epoch_losses)))
     return enc, history
@@ -160,8 +163,6 @@ def train_instance_contrastive(
     seed: int,
     epochs: int = 20,
     batch_size: int = 64,
-    lr: float = 1e-3,
-    temperature: float = 0.2,
 ) -> tuple[ViTEncoder, list[float]]:
     """Cross-view InfoNCE on normalized class-token projections."""
     enc = ViTEncoder(config, seed=seed)
@@ -197,11 +198,11 @@ def train_instance_contrastive(
             with GradTape() as tape:
                 z1 = embed_views(views1, b)
                 z2 = embed_views(views2, b)
-                sim = T.scale(T.matmul(z1, T.transpose(z2, (1, 0))), 1.0 / (d * temperature))
+                sim = T.scale(T.matmul(z1, T.transpose(z2, (1, 0))), 1.0 / (d * TEMPERATURE))
                 log_sm = T.log_softmax(sim)
                 loss = T.scale(T.sum_all(T.mul(log_sm, eye)), -1.0 / b)
             grads = tape.gradients(loss, params)
-            optim.adamw_step(params, grads, state, lr)
+            optim.adamw_step(params, grads, state, TEACHER_LR)
             epoch_losses.append(loss.item())
         history.append(float(np.mean(epoch_losses)))
     return enc, history
@@ -214,7 +215,6 @@ def make_toy_teacher(
     config: ViTConfig = DEFAULT_TEACHER_CONFIG,
     epochs: int = 20,
     batch_size: int = 64,
-    lr: float = 1e-3,
 ) -> ViTEncoder:
     """Build one frozen toy teacher; heads are dropped after training."""
     if flavor not in FLAVORS:
@@ -224,13 +224,9 @@ def make_toy_teacher(
     if images is None:
         raise ValueError(f"flavor {flavor!r} needs training images")
     if flavor == "masked-reconstruction":
-        enc, _ = train_masked_reconstruction(
-            images, config, seed, epochs=epochs, batch_size=batch_size, lr=lr
-        )
+        enc, _ = train_masked_reconstruction(images, config, seed, epochs, batch_size)
     else:
-        enc, _ = train_instance_contrastive(
-            images, config, seed, epochs=epochs, batch_size=batch_size, lr=lr
-        )
+        enc, _ = train_instance_contrastive(images, config, seed, epochs, batch_size)
     return _freeze(enc)
 
 
@@ -255,9 +251,9 @@ def load_teacher(path: str | Path) -> tuple[ViTEncoder, str]:
     tensors, meta = ckpt.load_checkpoint(path)
     if meta.get("kind") != "teacher":
         raise ckpt.MetadataError(f"{path}: not a teacher checkpoint")
-    cfg = ViTConfig(**meta["config"])
-    enc = ViTEncoder(cfg, seed=0, frozen=True)
-    enc.load_arrays(tensors)
+    with ckpt.content_errors(path):
+        enc = ViTEncoder(ViTConfig(**meta["config"]), seed=0, frozen=True)
+        enc.load_arrays(tensors)
     return enc, str(meta.get("label", ""))
 
 

@@ -75,11 +75,6 @@ class Tensor:
     def size(self) -> int:
         return self.array.size
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Flat row-major view: entry (i, j) of a matrix is flat[i * cols + j]."""
-        return self.array.reshape(-1)
-
     def item(self) -> float:
         if self.array.size != 1:
             raise ValueError("item() requires a single-element tensor")
@@ -397,20 +392,22 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
+GRAD_CHECK_FLOOR = 1e-4
+
+
 def run_grad_check(
     computation: Callable[[], Tensor],
     params: Sequence[Tensor],
     h: float = 1e-5,
     tol: float = 1e-4,
-    denom_floor: float = 1e-4,
 ) -> GradCheckReport:
     """Compare tape gradients of a scalar computation to central differences.
 
     ``computation`` must close over ``params`` and be deterministic; it is run
     twice up front and any bitwise difference is an error. Relative error per
-    entry is |a - n| / max(|a|, |n|, denom_floor), so entries where both
-    gradients are below ``denom_floor`` are effectively compared on an
-    absolute scale.
+    entry is |a - n| / max(|a|, |n|, GRAD_CHECK_FLOOR), so entries where
+    both gradients are below ``GRAD_CHECK_FLOOR`` are effectively compared
+    on an absolute scale.
     """
     v1 = computation()
     v2 = computation()
@@ -437,7 +434,7 @@ def run_grad_check(
             f_minus = computation().item()
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(a_grad.flat[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
             worst = max(worst, rel)
         p.assign(base)
         report.entries.append(GradCheckEntry(p.name or "param", worst))

@@ -77,7 +77,6 @@ class EpochMetrics:
 @dataclass
 class RunMetrics:
     epochs: list[EpochMetrics] = field(default_factory=list)
-    probe_accuracy: float | None = None
 
 
 @dataclass
@@ -214,21 +213,22 @@ def load_train_checkpoint(path: str | Path):
     tensors, meta = ckpt.load_checkpoint(path)
     if meta.get("kind") != "train_state":
         raise ckpt.MetadataError(f"{path}: not a training checkpoint")
-    cfg = parse_config(meta["config"])
-    student = ViTEncoder(cfg.student, seed=0)
-    student.load_arrays(
-        {n[len("student.") :]: a for n, a in tensors.items() if n.startswith("student.")}
-    )
-    adapter = Adapter(
-        weight=Tensor(tensors["adapter.weight"], parameter=True, name="adapter_w"),
-        bias=Tensor(tensors["adapter.bias"], parameter=True, name="adapter_b"),
-    )
-    names = _moment_names(student)
-    opt_state = optim.init_adamw(student.parameters() + adapter.parameters())
-    opt_state.m = [np.asarray(tensors[f"opt.m.{n}"], dtype=np.float64) for n in names]
-    opt_state.v = [np.asarray(tensors[f"opt.v.{n}"], dtype=np.float64) for n in names]
-    opt_state.t = int(meta.get("opt_t", 0))
-    return cfg, student, adapter, opt_state, int(meta.get("step", 0))
+    with ckpt.content_errors(path):
+        cfg = parse_config(meta["config"])
+        student = ViTEncoder(cfg.student, seed=0)
+        student.load_arrays(
+            {n[len("student.") :]: a for n, a in tensors.items() if n.startswith("student.")}
+        )
+        adapter = Adapter(
+            weight=Tensor(tensors["adapter.weight"], parameter=True, name="adapter_w"),
+            bias=Tensor(tensors["adapter.bias"], parameter=True, name="adapter_b"),
+        )
+        names = _moment_names(student)
+        opt_state = optim.init_adamw(student.parameters() + adapter.parameters())
+        opt_state.m = [np.asarray(tensors[f"opt.m.{n}"], dtype=np.float64) for n in names]
+        opt_state.v = [np.asarray(tensors[f"opt.v.{n}"], dtype=np.float64) for n in names]
+        opt_state.t = int(meta.get("opt_t", 0))
+        return cfg, student, adapter, opt_state, int(meta.get("step", 0))
 
 
 def train(cfg: TrainConfig, log=None) -> TrainResult:
@@ -319,12 +319,17 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
 # ------------------------------------------------------------- linear probe
 
 
-def class_token_features(encoder: ViTEncoder, images: np.ndarray, chunk: int = 256) -> np.ndarray:
+PROBE_CHUNK = 256  # images per frozen forward when extracting probe features
+PROBE_LR = 0.05
+PROBE_WEIGHT_DECAY = 1e-4  # L2, added to the head's weight gradient
+
+
+def class_token_features(encoder: ViTEncoder, images: np.ndarray) -> np.ndarray:
     """Frozen-forward class-token embeddings, (n, D)."""
     feats = []
     with T.no_tape():
-        for start in range(0, images.shape[0], chunk):
-            out = encoder.encode_batch(images[start : start + chunk])
+        for start in range(0, images.shape[0], PROBE_CHUNK):
+            out = encoder.encode_batch(images[start : start + PROBE_CHUNK])
             feats.append(out.array[:, 0, :])
     return np.concatenate(feats, axis=0)
 
@@ -336,8 +341,6 @@ def fit_linear_head(
     test_y: np.ndarray,
     num_classes: int,
     iters: int = 200,
-    lr: float = 0.05,
-    weight_decay: float = 1e-4,
 ) -> float:
     """Full-batch softmax regression (Adam); returns held-out accuracy."""
     if len(np.unique(train_y)) < 2:
@@ -360,13 +363,13 @@ def fit_linear_head(
         e = np.exp(logits)
         p = e / e.sum(axis=1, keepdims=True)
         g = (p - onehot) / n
-        gw = xs.T @ g + weight_decay * w
+        gw = xs.T @ g + PROBE_WEIGHT_DECAY * w
         gb = g.sum(axis=0)
         mw = beta1 * mw + (1 - beta1) * gw; vw = beta2 * vw + (1 - beta2) * gw * gw
         mb = beta1 * mb + (1 - beta1) * gb; vb = beta2 * vb + (1 - beta2) * gb * gb
         bc1 = 1 - beta1**t; bc2 = 1 - beta2**t
-        w -= lr * (mw / bc1) / (np.sqrt(vw / bc2) + eps)
-        b -= lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+        w -= PROBE_LR * (mw / bc1) / (np.sqrt(vw / bc2) + eps)
+        b -= PROBE_LR * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
     pred = (xt @ w + b).argmax(axis=1)
     return float((pred == test_y.astype(int)).mean())
 
@@ -430,11 +433,11 @@ def _sweep(
     Rows that are not single settings get ``delta_pp`` against the best
     single row's probe accuracy.
     """
+    train_ds, test_ds = dat.load_splits(cfg.dataset)
     rows = []
     for label, overrides, _, note in runs:
         result = train(replace(cfg, **overrides))
         _, student, _, _, _ = load_train_checkpoint(result.checkpoint_path)
-        train_ds, test_ds = dat.load_splits(cfg.dataset)
         acc = linear_probe(student, train_ds, test_ds, probe_epochs=probe_epochs)
         loss = result.final_loss if result.final_loss is not None else float("nan")
         rows.append(SweepRow(label, loss, acc, note=note))

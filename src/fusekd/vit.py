@@ -195,15 +195,6 @@ class ViTEncoder:
                 return self._forward(images)
         return self._forward(images)
 
-    def encode(self, image: np.ndarray) -> Tensor:
-        """Single sample: (3, H, W) -> (N+1, D)."""
-        img = np.asarray(image, dtype=np.float64)
-        if img.ndim != 3:
-            raise ValueError("encode expects a single (3, H, W) image")
-        out = self.encode_batch(img[None])
-        n1 = self.config.num_patches + 1
-        return T.reshape(out, (n1, self.config.embed_dim))
-
     def _check_images(self, images: np.ndarray) -> np.ndarray:
         imgs = np.asarray(images, dtype=np.float64)
         s = self.config.image_size

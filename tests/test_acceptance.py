@@ -165,7 +165,7 @@ class TestOracleEquivalence:
             wd = float(rng.choice([0.0, 0.05]))
             expect = oracles.adamw_trajectory_naive(theta0, grads, [lr] * 10, wd=wd)
             p = Tensor(np.array([theta0]), parameter=True, name="p")
-            state = optim.init_adamw([p], weight_decay=wd, decay=[True])
+            state = optim.init_adamw([p], weight_decay=wd)
             for gval, e in zip(grads, expect):
                 optim.adamw_step([p], [np.array([gval])], state, lr)
                 worst = max(worst, rel(float(p.array[0]), e))

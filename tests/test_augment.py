@@ -18,9 +18,12 @@ def ramp_image(h=8, w=8):
 
 class TestRandomResizedCrop:
     def test_full_scale_square_is_identity(self, rng):
+        # at scale 1 every in-range aspect either rounds to the full square or overflows
         img = ramp_image(16, 16)
-        out = aug.random_resized_crop(img, rng, (1.0, 1.0), 16, ratio_range=(1.0, 1.0))
-        np.testing.assert_allclose(out, img, atol=1e-6, rtol=0)
+        cfg = AugmentConfig(scale_min=1.0, flip_prob=0.0)
+        pair = aug.make_views(img, rng, cfg)
+        assert pair.record.crop_box == (0, 0, 16, 16)
+        np.testing.assert_allclose(pair.teacher_view, img, atol=1e-6, rtol=0)
 
     def test_golden_crop_box_seed0(self):
         rng = np.random.default_rng(0)
@@ -29,34 +32,34 @@ class TestRandomResizedCrop:
 
     def test_same_rng_state_same_output(self):
         img = ramp_image()
-        a = aug.random_resized_crop(img, np.random.default_rng(42), (0.2, 1.0), 8)
-        b = aug.random_resized_crop(img, np.random.default_rng(42), (0.2, 1.0), 8)
-        np.testing.assert_array_equal(a, b)
+        a = aug.make_views(img, np.random.default_rng(42), AugmentConfig())
+        b = aug.make_views(img, np.random.default_rng(42), AugmentConfig())
+        np.testing.assert_array_equal(a.teacher_view, b.teacher_view)
 
     def test_degenerate_source_errors(self, rng):
         with pytest.raises(ValueError):
-            aug.random_resized_crop(np.zeros((3, 1, 4)), rng, (0.5, 1.0), 4)
+            aug.make_views(np.zeros((3, 1, 4)), rng, AugmentConfig(scale_min=0.5))
 
     def test_output_range(self, rng):
         img = rng.random((3, 16, 16))
-        out = aug.random_resized_crop(img, rng, (0.2, 1.0), 16)
+        out = aug.make_views(img, rng, AugmentConfig()).teacher_view
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestBilinearResize:
     def test_identity_size_is_exact(self, rng):
         img = rng.random((3, 5, 5))
-        np.testing.assert_array_equal(aug.bilinear_resize(img, 5, 5), img)
+        np.testing.assert_array_equal(aug._crop_resize(img, (0, 0, 5, 5), 5, 5), img)
 
     def test_constant_image_stays_constant(self):
         img = np.full((3, 4, 4), 0.3)
-        out = aug.bilinear_resize(img, 9, 7)
+        out = aug._crop_resize(img, (0, 0, 4, 4), 9, 7)
         np.testing.assert_allclose(out, 0.3, atol=1e-12)
 
     def test_2x_upsample_midpoints(self):
         img = np.zeros((1, 1, 2))
         img[0, 0] = [0.0, 1.0]
-        out = aug.bilinear_resize(img, 1, 4)
+        out = aug._crop_resize(img, (0, 0, 1, 2), 1, 4)
         # centers at src coords -0.25, 0.25, 0.75, 1.25 (clamped)
         np.testing.assert_allclose(out[0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
 
@@ -69,7 +72,7 @@ class TestResizeMatchesLoopOracle:
             for w in range(1, 17):
                 img = rng.random((3, h, w))
                 want = oracles.bilinear_resize_naive(img.tolist(), 16, 16)
-                np.testing.assert_array_equal(aug.bilinear_resize(img, 16, 16), want)
+                np.testing.assert_array_equal(aug._crop_resize(img, (0, 0, h, w), 16, 16), want)
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_fused_crop_flip_every_crop_size(self, rng, flip):
@@ -85,11 +88,6 @@ class TestResizeMatchesLoopOracle:
                 got = aug._crop_resize(img, (top, left, h, w), 16, 16, flip)
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("box", [(-1, 0, 4, 4), (0, 0, 9, 4), (0, 6, 4, 3), (0, 0, 0, 4)])
-    def test_resized_crop_rejects_box_outside_image(self, box):
-        with pytest.raises(ValueError, match="crop box"):
-            aug.resized_crop(ramp_image(), box, 8)
-
     def test_make_views_teacher_view_over_50_seeds(self, rng):
         img = rng.random((3, 16, 16))
         for seed in range(50):
@@ -103,32 +101,33 @@ class TestResizeMatchesLoopOracle:
 
 
 class TestHorizontalFlip:
+    """The flip of a crop kept at its own size (the full-scale view's path)."""
+
     def test_involution(self, rng):
         img = rng.random((3, 4, 6))
-        np.testing.assert_array_equal(
-            aug.horizontal_flip(aug.horizontal_flip(img, True), True), img
-        )
+        once = aug._crop_resize(img, (0, 0, 4, 6), 4, 6, True)
+        np.testing.assert_array_equal(aug._crop_resize(once, (0, 0, 4, 6), 4, 6, True), img)
 
     def test_symmetric_image_unchanged(self):
         img = np.zeros((3, 2, 4))
         img[:, :, :] = [0.1, 0.4, 0.4, 0.1]
-        np.testing.assert_array_equal(aug.horizontal_flip(img, True), img)
+        np.testing.assert_array_equal(aug._crop_resize(img, (0, 0, 2, 4), 2, 4, True), img)
 
     def test_two_pixel_row(self):
         img = np.zeros((3, 1, 2))
         img[0, 0] = [0.2, 0.9]
-        out = aug.horizontal_flip(img, True)
+        out = aug._crop_resize(img, (0, 0, 1, 2), 1, 2, True)
         np.testing.assert_array_equal(out[0, 0], [0.9, 0.2])
 
     def test_flag_false_is_identity(self, rng):
         img = rng.random((3, 3, 3))
-        np.testing.assert_array_equal(aug.horizontal_flip(img, False), img)
+        np.testing.assert_array_equal(aug._crop_resize(img, (0, 0, 3, 3), 3, 3, False), img)
 
 
 class TestColorJitter:
     def test_zero_strengths_identity_bit_exact(self, rng):
         img = rng.random((3, 8, 8))
-        out = aug.color_jitter(img, rng, (0.0, 0.0, 0.0))
+        out = aug.apply_jitter(img, *aug.sample_jitter(rng, (0.0, 0.0, 0.0)))
         np.testing.assert_array_equal(out, img)
 
     def test_brightness_scaling(self):
@@ -175,13 +174,15 @@ class TestMakeViews:
             pair = aug.make_views(img, np.random.default_rng(seed), cfg)
             rec = pair.record
             # the record fully reproduces both views from the source image
-            shared = aug.horizontal_flip(
-                aug.resized_crop(img, rec.crop_box, 16), rec.flip
-            )
+            top, left, h, w = rec.crop_box
+            crop = img[:, top : top + h, left : left + w]
+            shared = np.array(oracles.bilinear_resize_naive(crop.tolist(), 16, 16))
+            if rec.flip:
+                shared = shared[..., ::-1]
             np.testing.assert_array_equal(pair.teacher_view, shared)
             np.testing.assert_array_equal(
                 pair.student_view,
-                aug.apply_jitter(shared, rec.jitter_order, rec.jitter_factors),
+                aug.apply_jitter(pair.teacher_view, rec.jitter_order, rec.jitter_factors),
             )
 
     def test_determinism_same_seed(self):

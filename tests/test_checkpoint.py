@@ -118,6 +118,25 @@ class TestFailureModes:
         with pytest.raises(ckpt.MetadataError):
             ckpt.load_checkpoint(p)
 
+    @pytest.mark.parametrize(
+        "doc, payload",
+        [
+            ([1, 2], b""),  # top level is not an object
+            ({"meta": {}, "tensors": 3}, b""),
+            ({"meta": [1], "tensors": []}, b""),
+            ({"meta": {}, "tensors": [{"name": "w", "shape": [1], "dtype": ["f64"], "offset": 0}]}, b"\0" * 8),
+            # a -1 dimension must not read "the rest of the payload"
+            ({"meta": {}, "tensors": [{"name": "w", "shape": [-1, 2], "dtype": "f64", "offset": 0}]}, b"\0" * 32),
+        ],
+        ids=["list-document", "tensors-int", "meta-list", "dtype-list", "negative-dim"],
+    )
+    def test_ill_typed_metadata_is_metadata_error(self, tmp_path, doc, payload):
+        md = json.dumps(doc).encode()
+        p = tmp_path / "x.dmtc"
+        p.write_bytes(b"DMTC" + struct.pack("<I", 1) + struct.pack("<Q", len(md)) + md + payload)
+        with pytest.raises(ckpt.MetadataError):
+            ckpt.load_checkpoint(p)
+
     def test_errors_are_distinct_types(self):
         assert issubclass(ckpt.BadMagicError, ckpt.CheckpointError)
         kinds = {ckpt.BadMagicError, ckpt.BadVersionError, ckpt.TruncatedError, ckpt.MetadataError}

@@ -1,5 +1,7 @@
 """CLI dispatch, exit codes, and command behaviour on a micro setup."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,14 @@ class TestDistillAndEval:
         acc = float(out.split("probe_accuracy:")[1].strip())
         assert 0.0 <= acc <= 1.0
 
+    def test_eval_checkpoint_without_config_exit_2(self, cli_env, tmp_path, capsys):
+        root, _ = cli_env
+        p = tmp_path / "noconfig.dmtc"
+        save_checkpoint(p, {"w": np.zeros(3)}, meta={"kind": "train_state"})
+        assert main(["eval", "--ckpt", str(p), "--data", str(root / "data")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "config" in err
+
     def test_missing_config_is_runtime_error(self, capsys):
         assert main(["distill", "--config", "/does/not/exist.cfg"]) == 2
 
@@ -169,6 +179,14 @@ class TestInspect:
         assert main(["inspect-ckpt", str(p)]) == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_non_object_metadata_exit_2(self, tmp_path, capsys):
+        md = b"[1, 2]"
+        p = tmp_path / "list.dmtc"
+        p.write_bytes(b"DMTC" + struct.pack("<IQ", 1, len(md)) + md)
+        assert main(["inspect-ckpt", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_f64_dtype_shown(self, tmp_path, capsys):
         p = tmp_path / "x.dmtc"
         save_checkpoint(p, {"w": np.zeros(4)}, dtype="f64")
@@ -198,3 +216,14 @@ class TestMakeTeachers:
              "--flavors", "alchemy"]
         )
         assert code == 2
+
+    def test_unknown_flavor_rejected_before_training(self, cli_env, tmp_path, capsys):
+        root, _ = cli_env
+        out = tmp_path / "bank"
+        code = main(
+            ["make-teachers", "--data", str(root / "data"), "--out", str(out),
+             "--epochs", "1", "--flavors", "masked-reconstruction,bogus"]
+        )
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()

@@ -15,7 +15,7 @@ def make_param(value, name="p"):
 class TestAdamWStep:
     def test_first_step_closed_form(self):
         p = make_param(0.0)
-        state = init_adamw([p], weight_decay=0.0, decay=[True])
+        state = init_adamw([p], weight_decay=0.0)
         adamw_step([p], [np.array([1.0])], state, lr=1e-3)
         # mhat = g, vhat = g^2 on step one -> delta = -lr / (1 + eps)
         expect = -1e-3 * (1.0 / (1.0 + 1e-8))
@@ -23,7 +23,7 @@ class TestAdamWStep:
 
     def test_zero_gradient_leaves_param_and_decays_moments(self):
         p = make_param(0.7)
-        state = init_adamw([p], weight_decay=0.0, decay=[True])
+        state = init_adamw([p], weight_decay=0.0)
         adamw_step([p], [np.array([1.0])], state, lr=0.0)  # charge the moments
         m0, v0 = state.m[0].copy(), state.v[0].copy()
         before = p.array.copy()
@@ -49,7 +49,7 @@ class TestAdamWStep:
     def test_overflowing_update_leaves_state_unchanged(self):
         # finite grads, but the decay term of the second parameter overflows
         params = [make_param([0.5, -0.5], "a"), make_param(1e308, "b")]
-        state = init_adamw(params, weight_decay=4.0, decay=[True, True])
+        state = init_adamw(params, weight_decay=4.0)
         before = [p.array.copy() for p in params]
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             adamw_step(params, [np.array([0.1, 0.2]), np.array([0.3])], state, lr=1.0)
@@ -61,13 +61,13 @@ class TestAdamWStep:
 
     def test_pure_decoupled_decay(self):
         p = make_param(1.0)
-        state = init_adamw([p], weight_decay=0.05, decay=[True])
+        state = init_adamw([p], weight_decay=0.05)
         adamw_step([p], [np.array([0.0])], state, lr=0.1)
         assert abs(p.array[0] - 0.995) < 1e-15
 
     def test_decay_exemption_flag(self):
         p = make_param(1.0, name="ln_g")
-        state = init_adamw([p], weight_decay=0.05, decay=[False])
+        state = init_adamw([p], weight_decay=0.05)
         adamw_step([p], [np.array([0.0])], state, lr=0.1)
         assert p.array[0] == 1.0
 
@@ -97,7 +97,7 @@ class TestAdamWStep:
                 theta0, grads, [lr] * 10, wd=wd
             )
             p = make_param(theta0)
-            state = init_adamw([p], weight_decay=wd, decay=[True])
+            state = init_adamw([p], weight_decay=wd)
             got = []
             for g in grads:
                 adamw_step([p], [np.array([g])], state, lr=lr)
@@ -109,7 +109,7 @@ class TestAdamWStep:
         # lambda=0, fixed g: mhat = g and vhat = g^2 exactly, so |delta|/lr -> 1
         for g in (0.5, -2.0, 0.1):
             p = make_param(0.0)
-            state = init_adamw([p], weight_decay=0.0, decay=[True])
+            state = init_adamw([p], weight_decay=0.0)
             lr = 1e-3
             for _ in range(5):
                 adamw_step([p], [np.array([g])], state, lr=lr)

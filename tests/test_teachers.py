@@ -94,6 +94,21 @@ class TestTeacherIO:
         with pytest.raises(ckpt.TruncatedError):
             tch.load_teacher(p)
 
+    def test_missing_config_is_metadata_error(self, tmp_path):
+        p = tmp_path / "t.dmtc"
+        ckpt.save_checkpoint(p, {"w": np.zeros(3)}, meta={"kind": "teacher"})
+        with pytest.raises(ckpt.MetadataError, match="config"):
+            tch.load_teacher(p)
+
+    def test_missing_tensor_is_metadata_error(self, tmp_path):
+        p = tmp_path / "t.dmtc"
+        tch.save_teacher(tch.make_toy_teacher(0, "random-frozen", config=SMALL_CFG), p)
+        tensors, meta = ckpt.load_checkpoint(p)
+        del tensors["ln_f_b"]
+        ckpt.save_checkpoint(p, tensors, meta=meta)
+        with pytest.raises(ckpt.MetadataError, match="ln_f_b"):
+            tch.load_teacher(p)
+
     def test_non_teacher_checkpoint_rejected(self, tmp_path):
         p = tmp_path / "t.dmtc"
         ckpt.save_checkpoint(p, {"w": np.zeros(3)}, meta={"kind": "other"})
@@ -137,7 +152,7 @@ class TestBank:
         views = rng.random((3, 3, 16, 16))
         batched = bank.forward_all(views)[0].array
         for i in range(3):
-            single = bank.teachers[0].encode(views[i]).array
+            single = bank.teachers[0].encode_batch(views[i][None]).array[0]
             np.testing.assert_allclose(batched[i], single, atol=1e-12, rtol=0)
 
     def test_identical_teachers_fuse_to_m_times_z(self, tmp_path, rng):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fusekd import checkpoint as ckpt
 from fusekd import data as dat
 from fusekd import optim
 from fusekd import teachers as tch
@@ -294,6 +295,25 @@ class TestTrainStateIO:
         resaved = tmp_path / "resaved.dmtc"
         save_train_checkpoint(resaved, loaded_cfg, student, adapter, state, step)
         assert resaved.read_bytes() == Path(result.checkpoint_path).read_bytes()
+
+    def test_missing_config_is_metadata_error(self, tmp_path):
+        p = tmp_path / "s.dmtc"
+        ckpt.save_checkpoint(p, {"w": np.zeros(3)}, meta={"kind": "train_state"})
+        with pytest.raises(ckpt.MetadataError, match="config"):
+            load_train_checkpoint(p)
+
+    def test_missing_tensor_is_metadata_error(self, micro_bank, micro_data, tmp_path):
+        cfg = micro_config(micro_bank, micro_data, tmp_path / "run")
+        student = ViTEncoder(STUDENT_CFG, seed=0)
+        adapter = Adapter.create(16, 32)
+        state = optim.init_adamw(student.parameters() + adapter.parameters())
+        p = tmp_path / "s.dmtc"
+        save_train_checkpoint(p, cfg, student, adapter, state, step=0)
+        tensors, meta = ckpt.load_checkpoint(p)
+        del tensors["adapter.bias"]
+        ckpt.save_checkpoint(p, tensors, meta=meta)
+        with pytest.raises(ckpt.MetadataError, match="adapter.bias"):
+            load_train_checkpoint(p)
 
     def test_config_echo_reparses_equal(self, micro_bank, micro_data, tmp_path):
         cfg = micro_config(micro_bank, micro_data, tmp_path / "run")

@@ -93,7 +93,7 @@ class TestEncode:
         cfg = ViTConfig(image_size=16, patch_size=4, depth=0, embed_dim=8, num_heads=2)
         enc = ViTEncoder(cfg, seed=1)
         img = rng.random((3, 16, 16))
-        got = enc.encode(img).array
+        got = enc.encode_batch(img[None]).array[0]
         embedded = enc.embed(img[None]).array[0]
         expect = np.stack(
             [
@@ -113,7 +113,7 @@ class TestEncode:
     def test_matches_naive_loop_transformer(self, rng):
         enc = ViTEncoder(TINY, seed=7)
         img = rng.random((3, 16, 16))
-        got = enc.encode(img).array
+        got = enc.encode_batch(img[None]).array[0]
         expect = np.array(
             oracles.naive_encode(
                 params_as_lists(enc),
@@ -133,7 +133,7 @@ class TestEncode:
         batched = enc.encode_batch(imgs).array
         for i in range(4):
             np.testing.assert_allclose(
-                batched[i], enc.encode(imgs[i]).array, atol=1e-12, rtol=0
+                batched[i], enc.encode_batch(imgs[i][None]).array[0], atol=1e-12, rtol=0
             )
 
 
@@ -167,7 +167,7 @@ class TestPermutationCoherence:
         cfg = ViTConfig(image_size=8, patch_size=4, depth=1, embed_dim=8, num_heads=2)
         enc_a = ViTEncoder(cfg, seed=4)
         img = rng.random((3, 8, 8))
-        out_a = enc_a.encode(img).array
+        out_a = enc_a.encode_batch(img[None]).array[0]
 
         a, b = 1, 2  # patch indices to swap (grid is 2x2)
         img_swapped = img.copy()
@@ -177,7 +177,7 @@ class TestPermutationCoherence:
         pos = enc_b.pos_embed.array.copy()
         pos[[1 + a, 1 + b]] = pos[[1 + b, 1 + a]]
         enc_b.pos_embed.assign(pos)
-        out_b = enc_b.encode(img_swapped).array
+        out_b = enc_b.encode_batch(img_swapped[None]).array[0]
 
         perm = np.arange(cfg.num_patches + 1)
         perm[[1 + a, 1 + b]] = perm[[1 + b, 1 + a]]
