@@ -19,10 +19,10 @@ from .fusion import (
     total_loss,
 )
 from .functional import gelu, kl_divergence, softmax
-from .optim import AdamWState, ScheduleConfig, adamw_step, init_adamw, lr_at
+from .optim import AdamWState, adamw_step, init_adamw, lr_at
 from .teachers import TeacherBank, load_bank, make_toy_teacher, save_teacher
 from .tensor import GradTape, Tensor, no_tape, run_grad_check
-from .trainer import RunMetrics, distill_step, linear_probe, sweep_loss_modes, sweep_teacher_combinations, train
+from .trainer import distill_step, linear_probe, sweep_loss_modes, sweep_teacher_combinations, train
 from .vit import ViTConfig, ViTEncoder, param_count, patchify, unpatchify
 
 __version__ = "0.1.0"

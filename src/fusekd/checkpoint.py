@@ -4,13 +4,17 @@ Layout: magic "DMTC" | u32 little-endian version (=1) | u64 metadata length |
 UTF-8 JSON metadata | raw little-endian tensor payloads. The JSON carries a
 free-form "meta" object (config echo, step, seed) and an ordered "tensors"
 list of {name, shape, dtype: "f32"|"f64", offset}; offsets are relative to
-the start of the payload section. Round trips are bit-exact.
+the start of the payload section. Round trips are bit-exact. Names are
+unique, shapes and offsets are JSON integers and payload ranges do not
+overlap. A save replaces the target atomically: a crash mid-write leaves
+the previous file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -68,13 +72,22 @@ def save_checkpoint(
         "tensors": entries,
     }
     md = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(md)))
-        fh.write(md)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(md)))
+            fh.write(md)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -101,18 +114,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise MetadataError(f"{path}: 'tensors' must be a list and 'meta' an object")
     payload = raw[16 + md_len :]
     tensors: dict[str, np.ndarray] = {}
+    ranges = []
     for entry in entries:
         try:
-            name, shape, dtype, offset = (
-                entry["name"],
-                tuple(int(s) for s in entry["shape"]),
-                entry["dtype"],
-                int(entry["offset"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            name, shape, dtype, offset = entry["name"], entry["shape"], entry["dtype"], entry["offset"]
+        except (KeyError, TypeError) as exc:
             raise MetadataError(f"{path}: malformed tensor entry {entry!r}") from exc
-        if not isinstance(name, str) or any(s < 0 for s in shape):
+        # JSON integers only: 2.7, true or "2" must not be truncated or coerced
+        if (
+            not isinstance(name, str)
+            or not isinstance(shape, list)
+            or not all(type(s) is int and s >= 0 for s in shape)
+            or type(offset) is not int
+        ):
             raise MetadataError(f"{path}: malformed tensor entry {entry!r}")
+        if name in tensors:
+            raise MetadataError(f"{path}: duplicate tensor name {name!r}")
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise MetadataError(f"{path}: tensor {name}: unknown dtype {dtype!r}")
         np_dtype = _DTYPES[dtype]
@@ -122,11 +139,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise TruncatedError(
                 f"{path}: tensor {name} declares {count} values past end of payload"
             )
+        if end > offset:  # zero-length tensors occupy no bytes
+            ranges.append((offset, end, name))
         tensors[name] = (
             np.frombuffer(payload, dtype=np_dtype, count=count, offset=offset)
             .reshape(shape)
             .astype(np.float64 if dtype == "f64" else np.float32)
         )
+    ranges.sort()
+    for (_, end, first), (start, _, second) in zip(ranges, ranges[1:]):
+        if start < end:
+            raise MetadataError(f"{path}: tensors {first!r} and {second!r} overlap in the payload")
     return tensors, meta
 
 

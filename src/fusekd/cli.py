@@ -112,13 +112,8 @@ def _cmd_make_teachers(args) -> int:
     images = train_ds.float_images()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = tch.DEFAULT_TEACHER_CONFIG
-    cfg = ViTConfig(
-        image_size=train_ds.images.shape[-1],
-        patch_size=base.patch_size,
-        depth=base.depth,
-        embed_dim=args.embed_dim,
-        num_heads=base.num_heads,
+    cfg = replace(
+        tch.DEFAULT_TEACHER_CONFIG, image_size=train_ds.images.shape[-1], embed_dim=args.embed_dim
     )
     for flavor in flavors:
         enc = tch.make_toy_teacher(

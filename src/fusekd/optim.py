@@ -88,38 +88,28 @@ def adamw_step(
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
+class ScheduleSettings:
+    """Warmup/cosine knobs of a run; its total epochs and steps per epoch come from the run."""
+
     base_lr: float = 1.5e-4
     warmup_epochs: int = 15
-    total_epochs: int = 300
-    steps_per_epoch: int = 1
     floor_lr: float = 0.0
 
-    def __post_init__(self):
-        if not (0 <= self.warmup_epochs < self.total_epochs):
-            raise ValueError("need 0 <= warmup_epochs < total_epochs")
-        if self.steps_per_epoch < 1:
-            raise ValueError("steps_per_epoch must be >= 1")
 
-    @property
-    def warmup_steps(self) -> int:
-        return self.warmup_epochs * self.steps_per_epoch
+def lr_at(
+    global_step: int, schedule: ScheduleSettings, total_epochs: int, steps_per_epoch: int
+) -> float:
+    """Linear warmup from 0 to base_lr, then cosine decay to floor_lr.
 
-    @property
-    def total_steps(self) -> int:
-        return self.total_epochs * self.steps_per_epoch
-
-
-def lr_at(global_step: int, schedule: ScheduleConfig) -> float:
-    """Linear warmup from 0 to base_lr, then cosine decay to floor_lr."""
-    if not (0 <= global_step <= schedule.total_steps):
-        raise ValueError(
-            f"step {global_step} outside [0, {schedule.total_steps}]"
-        )
-    if global_step < schedule.warmup_steps:
-        return schedule.base_lr * global_step / schedule.warmup_steps
-    span = schedule.total_steps - schedule.warmup_steps
-    progress = (global_step - schedule.warmup_steps) / span
+    Needs ``0 <= warmup_epochs < total_epochs`` (``TrainConfig`` checks it).
+    """
+    warmup_steps = schedule.warmup_epochs * steps_per_epoch
+    total_steps = total_epochs * steps_per_epoch
+    if not (0 <= global_step <= total_steps):
+        raise ValueError(f"step {global_step} outside [0, {total_steps}]")
+    if global_step < warmup_steps:
+        return schedule.base_lr * global_step / warmup_steps
+    progress = (global_step - warmup_steps) / (total_steps - warmup_steps)
     return schedule.floor_lr + 0.5 * (schedule.base_lr - schedule.floor_lr) * (
         1.0 + np.cos(np.pi * progress)
     )

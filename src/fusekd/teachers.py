@@ -10,7 +10,7 @@ budget on the synthetic set, stripped of its head, and frozen.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,13 +94,6 @@ def bank_digest(bank: TeacherBank) -> str:
             h.update(name.encode())
             h.update(tensor.array.tobytes())
     return h.hexdigest()
-
-
-def _freeze(enc: ViTEncoder) -> ViTEncoder:
-    enc.frozen = True
-    for _, t in enc.named_tensors():
-        object.__setattr__(t, "parameter", False)
-    return enc
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -220,30 +213,18 @@ def make_toy_teacher(
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     if flavor == "random-frozen":
-        return _freeze(ViTEncoder(config, seed=seed))
+        return ViTEncoder(config, seed=seed).freeze()
     if images is None:
         raise ValueError(f"flavor {flavor!r} needs training images")
     if flavor == "masked-reconstruction":
         enc, _ = train_masked_reconstruction(images, config, seed, epochs, batch_size)
     else:
         enc, _ = train_instance_contrastive(images, config, seed, epochs, batch_size)
-    return _freeze(enc)
+    return enc.freeze()
 
 
 def save_teacher(enc: ViTEncoder, path: str | Path, label: str = "") -> None:
-    cfg = enc.config
-    meta = {
-        "kind": "teacher",
-        "label": label,
-        "config": {
-            "image_size": cfg.image_size,
-            "patch_size": cfg.patch_size,
-            "depth": cfg.depth,
-            "embed_dim": cfg.embed_dim,
-            "num_heads": cfg.num_heads,
-            "mlp_ratio": cfg.mlp_ratio,
-        },
-    }
+    meta = {"kind": "teacher", "label": label, "config": asdict(enc.config)}
     ckpt.save_checkpoint(path, {n: t.array for n, t in enc.named_tensors()}, meta=meta)
 
 
@@ -252,9 +233,9 @@ def load_teacher(path: str | Path) -> tuple[ViTEncoder, str]:
     if meta.get("kind") != "teacher":
         raise ckpt.MetadataError(f"{path}: not a teacher checkpoint")
     with ckpt.content_errors(path):
-        enc = ViTEncoder(ViTConfig(**meta["config"]), seed=0, frozen=True)
+        enc = ViTEncoder(ViTConfig(**meta["config"]), seed=0)
         enc.load_arrays(tensors)
-    return enc, str(meta.get("label", ""))
+    return enc.freeze(), str(meta.get("label", ""))
 
 
 def load_bank(paths: list[str | Path]) -> TeacherBank:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,28 +62,13 @@ class EpochMetrics:
     loss_token: float
     loss_spatial: float
     lr: float
-    wall_time: float  # console-only; never serialized (byte-determinism)
-
-    def record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss_total": self.loss_total,
-            "loss_token": self.loss_token,
-            "loss_spatial": self.loss_spatial,
-            "lr": self.lr,
-        }
-
-
-@dataclass
-class RunMetrics:
-    epochs: list[EpochMetrics] = field(default_factory=list)
 
 
 @dataclass
 class TrainResult:
     checkpoint_path: Path
     metrics_path: Path
-    metrics: RunMetrics
+    epochs: list[EpochMetrics]
     final_loss: float | None
 
 
@@ -257,22 +242,15 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
     images = train_ds.float_images()
     n = len(train_ds)
     steps_per_epoch = max(1, -(-n // cfg.batch_size))
-    metrics = RunMetrics()
+    history: list[EpochMetrics] = []
     metrics_path = out_dir / "metrics.ndjson"
     final_path = out_dir / "student_final.dmtc"
 
     if cfg.epochs == 0:
         metrics_path.write_text("")
         save_train_checkpoint(final_path, cfg, student, adapter, opt_state, step=0)
-        return TrainResult(final_path, metrics_path, metrics, None)
+        return TrainResult(final_path, metrics_path, history, None)
 
-    schedule = optim.ScheduleConfig(
-        base_lr=cfg.schedule.base_lr,
-        warmup_epochs=cfg.schedule.warmup_epochs,
-        total_epochs=cfg.epochs,
-        steps_per_epoch=steps_per_epoch,
-        floor_lr=cfg.schedule.floor_lr,
-    )
     global_step = 0
     with open(metrics_path, "w") as metrics_fh:
         for epoch in range(cfg.epochs):
@@ -280,11 +258,11 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
             order = np.random.default_rng(derive_seed(cfg.seed, 3, epoch)).permutation(n)
             epoch_base = derive_seed(cfg.seed, 4, epoch)
             sums = np.zeros(3)
-            lr_epoch = optim.lr_at(global_step, schedule)
+            lr_epoch = optim.lr_at(global_step, cfg.schedule, cfg.epochs, steps_per_epoch)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 seeds = [sample_seed(epoch_base, int(i)) for i in idx]
-                lr = optim.lr_at(global_step, schedule)
+                lr = optim.lr_at(global_step, cfg.schedule, cfg.epochs, steps_per_epoch)
                 losses = distill_step(
                     images[idx], seeds, cfg.augment, bank, student, adapter,
                     opt_state, lr, cfg.loss_mode,
@@ -297,15 +275,14 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
                 loss_token=sums[1] / steps_per_epoch,
                 loss_spatial=sums[2] / steps_per_epoch,
                 lr=lr_epoch,
-                wall_time=time.perf_counter() - t0,
             )
-            metrics.epochs.append(em)
-            metrics_fh.write(json.dumps(em.record(), sort_keys=True) + "\n")
+            history.append(em)
+            metrics_fh.write(json.dumps(asdict(em), sort_keys=True) + "\n")
             if log:
                 log(
                     f"epoch {epoch + 1}/{cfg.epochs} loss={em.loss_total:.6f} "
                     f"(token={em.loss_token:.6f} spatial={em.loss_spatial:.6f}) "
-                    f"lr={em.lr:.2e} {em.wall_time:.1f}s"
+                    f"lr={em.lr:.2e} {time.perf_counter() - t0:.1f}s"
                 )
             if cfg.save_interval and (epoch + 1) % cfg.save_interval == 0 and epoch + 1 < cfg.epochs:
                 save_train_checkpoint(
@@ -313,7 +290,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
                     cfg, student, adapter, opt_state, step=global_step,
                 )
     save_train_checkpoint(final_path, cfg, student, adapter, opt_state, step=global_step)
-    return TrainResult(final_path, metrics_path, metrics, metrics.epochs[-1].loss_total)
+    return TrainResult(final_path, metrics_path, history, history[-1].loss_total)
 
 
 # ------------------------------------------------------------- linear probe

@@ -103,18 +103,17 @@ def param_count(config: ViTConfig) -> int:
 class ViTEncoder:
     """Parameter container plus the differentiable forward pass."""
 
-    def __init__(self, config: ViTConfig, seed: int = 0, frozen: bool = False):
+    def __init__(self, config: ViTConfig, seed: int = 0):
         self.config = config
-        self.frozen = frozen
+        self.frozen = False
         rng = np.random.default_rng(seed)
         d = config.embed_dim
-        train = not frozen
 
         def normal(shape, name):
-            return Tensor(rng.normal(0.0, 0.02, shape), parameter=train, name=name)
+            return Tensor(rng.normal(0.0, 0.02, shape), parameter=True, name=name)
 
         def fill(shape, value, name):
-            return Tensor(np.full(shape, value), parameter=train, name=name)
+            return Tensor(np.full(shape, value), parameter=True, name=name)
 
         self.patch_w = normal((config.patch_dim, d), "patch_w")
         self.patch_b = fill((d,), 0.0, "patch_b")
@@ -159,21 +158,20 @@ class ViTEncoder:
             return []
         return [t for _, t in self.named_tensors()]
 
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
+    def freeze(self) -> ViTEncoder:
+        """Make this encoder a fixed teacher: no parameters, no tape, no further assigns."""
+        self.frozen = True
+        for _, t in self.named_tensors():
+            object.__setattr__(t, "parameter", False)
+        return self
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every weight; a frozen encoder rejects this (load, then ``freeze``)."""
         for name, t in self.named_tensors():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != t.shape:
                 raise ValueError(f"tensor {name}: shape {arr.shape} != {t.shape}")
-            if self.frozen:
-                # bypass the parameter-only guard; frozen weights are set once at load
-                object.__setattr__(t, "parameter", True)
-                t.assign(arr)
-                object.__setattr__(t, "parameter", False)
-            else:
-                t.assign(arr)
+            t.assign(arr)
 
     def embed(self, images: np.ndarray) -> Tensor:
         """(B, 3, H, W) -> token matrix (B, N+1, D); row 0 is cls + pos0."""

@@ -42,7 +42,7 @@ def teacher_histories(ref_data_dir, work_dir):
     enc, hist = tch.train_masked_reconstruction(
         images, TEACHER_CONFIG, seed=0, epochs=BANK_EPOCHS
     )
-    tch._freeze(enc)
+    enc.freeze()
     mim_path = out / "toy-mim.dmtc"
     tch.save_teacher(enc, mim_path, label="toy-mim")
     histories["masked-reconstruction"] = hist
@@ -50,7 +50,7 @@ def teacher_histories(ref_data_dir, work_dir):
     enc, hist = tch.train_instance_contrastive(
         images, TEACHER_CONFIG, seed=0, epochs=BANK_EPOCHS
     )
-    tch._freeze(enc)
+    enc.freeze()
     con_path = out / "toy-contrastive.dmtc"
     tch.save_teacher(enc, con_path, label="toy-contrastive")
     histories["instance-contrastive"] = hist

@@ -75,8 +75,8 @@ def ref_runs(ref_data_dir, teacher_paths, work_dir):
         runs[seed] = {
             "config": cfg,
             "result": result,
-            "epoch1_loss": result.metrics.epochs[0].loss_total,
-            "final_loss": result.metrics.epochs[-1].loss_total,
+            "epoch1_loss": result.epochs[0].loss_total,
+            "final_loss": result.epochs[-1].loss_total,
             "distilled_acc": distilled_acc,
             "random_acc": random_acc,
         }

@@ -1,6 +1,7 @@
 """DMTC checkpoint container: layout, round trips, and failure modes."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -15,6 +16,10 @@ def sample_tensors(rng):
         "b": rng.normal(size=(4,)),
         "scalarish": rng.normal(size=(1,)),
     }
+
+
+def _entry(name, shape, offset, dtype="f64"):
+    return {"name": name, "shape": shape, "dtype": dtype, "offset": offset}
 
 
 class TestRoundTrip:
@@ -127,8 +132,22 @@ class TestFailureModes:
             ({"meta": {}, "tensors": [{"name": "w", "shape": [1], "dtype": ["f64"], "offset": 0}]}, b"\0" * 8),
             # a -1 dimension must not read "the rest of the payload"
             ({"meta": {}, "tensors": [{"name": "w", "shape": [-1, 2], "dtype": "f64", "offset": 0}]}, b"\0" * 32),
+            # a repeated name must not let the later entry silently win
+            ({"meta": {}, "tensors": [_entry("w", [1], 0), _entry("w", [1], 8)]}, b"\0" * 16),
+            ({"meta": {}, "tensors": [_entry("a", [2], 0), _entry("b", [2], 8)]}, b"\0" * 24),
+            # dims and offsets are JSON integers: nothing truncated or coerced
+            ({"meta": {}, "tensors": [_entry("w", [2.7], 0)]}, b"\0" * 24),
+            ({"meta": {}, "tensors": [_entry("w", [1], 8.9)]}, b"\0" * 24),
+            ({"meta": {}, "tensors": [_entry("w", [True], 0)]}, b"\0" * 8),
+            ({"meta": {}, "tensors": [_entry("w", ["2"], 0)]}, b"\0" * 16),
+            ({"meta": {}, "tensors": [_entry("w", [1], True)]}, b"\0" * 16),
+            ({"meta": {}, "tensors": [_entry("w", [1], "0")]}, b"\0" * 8),
         ],
-        ids=["list-document", "tensors-int", "meta-list", "dtype-list", "negative-dim"],
+        ids=[
+            "list-document", "tensors-int", "meta-list", "dtype-list", "negative-dim",
+            "duplicate-name", "overlapping-ranges", "float-dim", "float-offset",
+            "bool-dim", "string-dim", "bool-offset", "string-offset",
+        ],
     )
     def test_ill_typed_metadata_is_metadata_error(self, tmp_path, doc, payload):
         md = json.dumps(doc).encode()
@@ -136,6 +155,28 @@ class TestFailureModes:
         p.write_bytes(b"DMTC" + struct.pack("<I", 1) + struct.pack("<Q", len(md)) + md + payload)
         with pytest.raises(ckpt.MetadataError):
             ckpt.load_checkpoint(p)
+
+    def test_zero_length_tensors_never_overlap(self, tmp_path):
+        doc = {"meta": {}, "tensors": [_entry("a", [0], 0), _entry("b", [1], 0), _entry("c", [0, 3], 4)]}
+        md = json.dumps(doc).encode()
+        p = tmp_path / "x.dmtc"
+        p.write_bytes(b"DMTC" + struct.pack("<I", 1) + struct.pack("<Q", len(md)) + md + b"\0" * 8)
+        tensors, _ = ckpt.load_checkpoint(p)
+        assert [t.shape for t in tensors.values()] == [(0,), (1,), (0, 3)]
+
+    def test_failed_overwrite_keeps_old_bytes_and_no_temp_file(self, tmp_path, rng, monkeypatch):
+        p = tmp_path / "x.dmtc"
+        ckpt.save_checkpoint(p, sample_tensors(rng), meta={"v": 1})
+        old = p.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save_checkpoint(p, sample_tensors(rng), meta={"v": 2})
+        assert p.read_bytes() == old
+        assert [q.name for q in tmp_path.iterdir()] == ["x.dmtc"]
 
     def test_errors_are_distinct_types(self):
         assert issubclass(ckpt.BadMagicError, ckpt.CheckpointError)

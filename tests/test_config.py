@@ -1,5 +1,7 @@
 """Flat key=value config format."""
 
+from dataclasses import MISSING, fields, is_dataclass
+
 import pytest
 
 from fusekd.augment import AugmentConfig
@@ -27,7 +29,64 @@ def sample_config():
     )
 
 
+# checkpoints echo the config text, so a schema change must not move it
+GOLDEN = (
+    "student.image_size=16\nstudent.patch_size=4\nstudent.depth=2\n"
+    "student.embed_dim=16\nstudent.num_heads=2\nstudent.mlp_ratio=4\n"
+    "teacher_paths=a.dmtc,b.dmtc\ndataset=data/\nout_dir=runs/x\nepochs=50\n"
+    "batch_size=64\nschedule.base_lr=0.00015\nschedule.warmup_epochs=15\n"
+    "schedule.floor_lr=0.0\naugment.scale_min=0.2\naugment.scale_max=1.0\n"
+    "augment.flip_prob=0.5\naugment.brightness=0.4\naugment.contrast=0.4\n"
+    "augment.saturation=0.4\nloss_mode=tfd+sfd\nseed=7\nsave_interval=10\n"
+)
+
+
+def leaves(obj, prefix=""):
+    """(dotted key, value, field) of every non-dataclass field, nested ones included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from leaves(value, prefix + f.name + ".")
+        else:
+            yield prefix + f.name, value, f
+
+
+def every_leaf_changed():
+    """A config whose every leaf field differs from its default."""
+    return TrainConfig(
+        student=ViTConfig(24, 8, 3, 12, 3, mlp_ratio=2),
+        teacher_paths=("t/x.dmtc", "t/y.dmtc", "t/z.dmtc"),
+        dataset="elsewhere",
+        out_dir="runs/every",
+        epochs=7,
+        batch_size=5,
+        schedule=ScheduleSettings(base_lr=0.25, warmup_epochs=3, floor_lr=1e-7),
+        augment=AugmentConfig(
+            scale_min=0.3, scale_max=0.9, flip_prob=0.25,
+            brightness=0.1, contrast=0.2, saturation=0.3,
+        ),
+        loss_mode="mse",
+        seed=11,
+        save_interval=2,
+    )
+
+
 class TestRoundTrip:
+    def test_golden_text(self):
+        assert serialize_config(sample_config()) == GOLDEN
+
+    def test_every_leaf_field_is_one_key_and_round_trips(self):
+        cfg = every_leaf_changed()
+        found = list(leaves(cfg))
+        for key, value, f in found:
+            if f.default is not MISSING:
+                assert value != f.default, f"{key} left at its default"
+        text = serialize_config(cfg)
+        keys = [line.split("=", 1)[0] for line in text.splitlines()]
+        assert sorted(keys) == sorted(key for key, _, _ in found)
+        assert len(keys) == len(set(keys))
+        assert parse_config(text) == cfg
+
     def test_serialize_parse_equal(self):
         cfg = sample_config()
         assert parse_config(serialize_config(cfg)) == cfg
@@ -60,6 +119,21 @@ class TestParseErrors:
             if not line.startswith("dataset=")
         )
         with pytest.raises(ValueError, match="dataset"):
+            parse_config(text)
+
+    def test_mlp_ratio_is_optional(self):
+        text = serialize_config(sample_config()).replace("student.mlp_ratio=4\n", "")
+        assert "mlp_ratio" not in text
+        assert parse_config(text).student.mlp_ratio == 4
+
+    def test_missing_student_key(self):
+        text = serialize_config(sample_config()).replace("student.depth=2\n", "")
+        with pytest.raises(ValueError, match="student.depth"):
+            parse_config(text)
+
+    def test_warmup_not_before_epochs_rejected(self):
+        text = serialize_config(sample_config()).replace("epochs=50\n", "epochs=15\n")
+        with pytest.raises(ValueError, match="warmup_epochs"):
             parse_config(text)
 
     def test_duplicate_key_rejected(self):

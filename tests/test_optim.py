@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from fusekd.optim import ScheduleConfig, adamw_step, init_adamw, lr_at
+from fusekd.config import TrainConfig
+from fusekd.optim import ScheduleSettings, adamw_step, init_adamw, lr_at
 from fusekd.tensor import Tensor
+from fusekd.vit import ViTConfig
 
 
 def make_param(value, name="p"):
@@ -121,41 +123,55 @@ class TestAdamWStep:
 
 
 class TestSchedule:
-    SCHED = ScheduleConfig(
-        base_lr=1.5e-4, warmup_epochs=15, total_epochs=300, steps_per_epoch=4
-    )
+    SCHED = ScheduleSettings(base_lr=1.5e-4, warmup_epochs=15)
+    TOTAL_EPOCHS, STEPS_PER_EPOCH = 300, 4
+    WARMUP_STEPS, TOTAL_STEPS = 15 * 4, 300 * 4
+
+    def lr(self, step, schedule=SCHED):
+        return lr_at(step, schedule, self.TOTAL_EPOCHS, self.STEPS_PER_EPOCH)
 
     def test_warmup_starts_at_zero(self):
-        assert lr_at(0, self.SCHED) == 0.0
+        assert self.lr(0) == 0.0
 
     def test_base_lr_at_warmup_end(self):
-        assert abs(lr_at(self.SCHED.warmup_steps, self.SCHED) - 1.5e-4) < 1e-18
+        assert abs(self.lr(self.WARMUP_STEPS) - 1.5e-4) < 1e-18
 
     def test_floor_at_final_step(self):
-        assert abs(lr_at(self.SCHED.total_steps, self.SCHED)) < 1e-18
-        floored = ScheduleConfig(1.5e-4, 15, 300, 4, floor_lr=1e-6)
-        assert abs(lr_at(floored.total_steps, floored) - 1e-6) < 1e-18
+        assert abs(self.lr(self.TOTAL_STEPS)) < 1e-18
+        floored = ScheduleSettings(1.5e-4, 15, floor_lr=1e-6)
+        assert abs(self.lr(self.TOTAL_STEPS, floored) - 1e-6) < 1e-18
 
     def test_continuity_at_warmup_boundary(self):
-        s = self.SCHED
-        w = s.warmup_steps
+        w = self.WARMUP_STEPS
         # linear branch value approaching the boundary vs the cosine branch at it
-        linear_limit = s.base_lr * w / w
-        assert abs(lr_at(w, s) - linear_limit) < 1e-12
+        linear_limit = self.SCHED.base_lr * w / w
+        assert abs(self.lr(w) - linear_limit) < 1e-12
 
     def test_monotone_decay_after_warmup(self):
-        s = self.SCHED
-        vals = [lr_at(i, s) for i in range(s.warmup_steps, s.total_steps + 1)]
+        vals = [self.lr(i) for i in range(self.WARMUP_STEPS, self.TOTAL_STEPS + 1)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_out_of_range_errors(self):
         with pytest.raises(ValueError):
-            lr_at(-1, self.SCHED)
+            self.lr(-1)
         with pytest.raises(ValueError):
-            lr_at(self.SCHED.total_steps + 1, self.SCHED)
+            self.lr(self.TOTAL_STEPS + 1)
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(1e-4, 10, 10, 1)
-        with pytest.raises(ValueError):
-            ScheduleConfig(1e-4, -1, 10, 1)
+        # checked when the run config is built, before a run creates anything
+        def run_config(warmup_epochs, epochs):
+            return TrainConfig(
+                student=ViTConfig(16, 4, 1, 8, 2),
+                teacher_paths=("t.dmtc",),
+                dataset="data",
+                out_dir="run",
+                epochs=epochs,
+                schedule=ScheduleSettings(1e-4, warmup_epochs),
+            )
+
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            run_config(10, 10)
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            run_config(-1, 10)
+        assert run_config(9, 10).schedule.warmup_epochs == 9
+        assert run_config(15, 0).epochs == 0  # no schedule runs at epochs=0

@@ -173,10 +173,11 @@ class TestDistillStep:
 
         bank = tch.load_bank(micro_bank[:1])
         base = loss_with(bank)
-        bumped = tch.load_bank(micro_bank[:1])
-        arrays = {n: t.array.copy() for n, t in bumped.teachers[0].named_tensors()}
+        arrays = {n: t.array.copy() for n, t in bank.teachers[0].named_tensors()}
         arrays["patch_w"][0, 0] += 1e-3
-        bumped.teachers[0].load_arrays(arrays)
+        teacher = ViTEncoder(bank.config)
+        teacher.load_arrays(arrays)
+        bumped = tch.TeacherBank([teacher.freeze()])
         assert loss_with(bumped) != base
 
     @pytest.mark.parametrize("mode", LOSS_MODES)
@@ -212,7 +213,7 @@ class TestTrain:
     def test_epochs_zero_checkpoint_equals_init(self, micro_bank, micro_data, tmp_path):
         cfg = micro_config(micro_bank, micro_data, tmp_path / "run0", epochs=0)
         result = train(cfg)
-        assert result.metrics.epochs == []
+        assert result.epochs == []
         assert result.metrics_path.read_text() == ""
         _, student, adapter, state, step = load_train_checkpoint(result.checkpoint_path)
         assert step == 0

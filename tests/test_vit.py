@@ -150,16 +150,25 @@ class TestGradients:
 
 class TestFrozen:
     def test_frozen_encoder_has_no_parameters_and_records_nothing(self, rng):
-        enc = ViTEncoder(TINY, seed=0, frozen=True)
+        enc = ViTEncoder(TINY, seed=0).freeze()
         assert enc.parameters() == []
         with GradTape() as tape:
             enc.encode_batch(rng.random((1, 3, 16, 16)))
         assert len(tape) == 0
 
     def test_frozen_weights_reject_assignment(self):
-        enc = ViTEncoder(TINY, seed=0, frozen=True)
+        enc = ViTEncoder(TINY, seed=0).freeze()
         with pytest.raises(ValueError):
             enc.patch_b.assign(np.ones(8))
+
+    def test_frozen_encoder_rejects_load_arrays(self):
+        enc = ViTEncoder(TINY, seed=0)
+        arrays = {n: t.array + 1.0 for n, t in enc.named_tensors()}
+        enc.freeze()
+        before = enc.patch_w.array.copy()
+        with pytest.raises(ValueError):
+            enc.load_arrays(arrays)
+        np.testing.assert_array_equal(enc.patch_w.array, before)
 
 
 class TestPermutationCoherence:
@@ -207,4 +216,5 @@ class TestParamCount:
 
     def test_matches_brute_force_enumeration(self):
         for cfg in (TINY, ViTConfig(16, 4, 1, 12, 3)):
-            assert ViTEncoder(cfg, seed=0).parameter_count() == param_count(cfg)
+            enc = ViTEncoder(cfg, seed=0)
+            assert sum(t.size for _, t in enc.named_tensors()) == param_count(cfg)
