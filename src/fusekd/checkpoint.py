@@ -50,19 +50,16 @@ def save_checkpoint(
     path: str | Path,
     tensors: dict[str, np.ndarray],
     meta: dict | None = None,
-    dtype: str = "f64",
 ) -> None:
-    if dtype not in _DTYPES:
-        raise MetadataError(f"unsupported dtype {dtype!r}")
-    np_dtype = _DTYPES[dtype]
+    """Write every tensor as f64; ``load_checkpoint`` also reads f32 entries."""
     entries = []
     blobs = []
     offset = 0
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(np.asarray(arr), dtype=np_dtype)
+        a = np.ascontiguousarray(np.asarray(arr), dtype=_DTYPES["f64"])
         blob = a.tobytes()
         entries.append(
-            {"name": name, "shape": list(a.shape), "dtype": dtype, "offset": offset}
+            {"name": name, "shape": list(a.shape), "dtype": "f64", "offset": offset}
         )
         blobs.append(blob)
         offset += len(blob)

@@ -270,15 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (
-        trainer.NonFiniteLossError,
-        ckpt.CheckpointError,
-        dat.DatasetError,
-        tch.BankMismatchError,
-        RuntimeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ckpt.CheckpointError, dat.DatasetError, RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

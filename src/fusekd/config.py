@@ -38,6 +38,8 @@ class TrainConfig:
     save_interval: int = 10
 
     def __post_init__(self):
+        if not self.teacher_paths:
+            raise ValueError("teacher_paths must name at least one teacher")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
         if self.batch_size < 1:

@@ -71,15 +71,11 @@ def student_feature_map(tokens: Tensor, grid_h: int, grid_w: int) -> Tensor:
     n = tokens.shape[-2] - 1
     if grid_h * grid_w != n:
         raise ValueError(f"grid {grid_h}x{grid_w} != {n} patch tokens")
-    d = tokens.shape[-1]
-    if tokens.array.ndim == 2:
-        x = T.slice_axis(tokens, 0, 1, n + 1)
-        x = T.reshape(x, (grid_h, grid_w, d))
-        return T.transpose(x, (2, 0, 1))
-    b = tokens.shape[0]
-    x = T.slice_axis(tokens, 1, 1, n + 1)
-    x = T.reshape(x, (b, grid_h, grid_w, d))
-    return T.transpose(x, (0, 3, 1, 2))
+    lead, d = tokens.shape[:-2], tokens.shape[-1]
+    k = len(lead)
+    x = T.slice_axis(tokens, k, 1, n + 1)
+    x = T.reshape(x, lead + (grid_h, grid_w, d))
+    return T.transpose(x, (*range(k), k + 2, k, k + 1))
 
 
 @dataclass

@@ -40,10 +40,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path: takes ownership of a fresh C-contiguous f64 array.
+        # Internal fast path: takes ownership of a fresh, finite f64 array.
         self = object.__new__(cls)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite values produced by primitive")
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -134,6 +132,10 @@ def _active_tape() -> GradTape | None:
 
 
 def _emit(out_arr: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
+    if not np.all(np.isfinite(out_arr)):
+        # each adjoint is a closure of its primitive: "scale.<locals>.backward"
+        op = backward.__qualname__.split(".")[0]
+        raise ValueError(f"non-finite output of {op}")
     out = Tensor._wrap(out_arr)
     tape = _active_tape()
     if tape is not None:

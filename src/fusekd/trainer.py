@@ -31,7 +31,11 @@ _MASK63 = (1 << 63) - 1
 
 
 class NonFiniteLossError(RuntimeError):
-    """Raised when a step produces non-finite values; carries the batch index."""
+    """A training step failed before it updated anything.
+
+    ``batch_index`` is the first sample with a pixel outside [0, 1] (NaN and
+    +-inf included), or ``None`` when every pixel was in range.
+    """
 
     def __init__(self, message: str, batch_index: int | None = None):
         super().__init__(message)
@@ -85,44 +89,6 @@ def _build_views(
     return teacher_views, student_views
 
 
-def _batch_loss(
-    images: np.ndarray,
-    seeds: list[int],
-    augment_cfg: aug.AugmentConfig,
-    bank: TeacherBank,
-    student: ViTEncoder,
-    adapter: Adapter,
-    loss_mode: str,
-) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """Views -> frozen teacher forwards -> fused targets -> student + adapter -> loss."""
-    grid = bank.config.grid
-    teacher_views, student_views = _build_views(images, seeds, augment_cfg)
-    outs = bank.forward_all(teacher_views)  # frozen: never on tape
-    fused_tokens = fusion.fuse_tokens([o.array for o in outs])
-    fused_map = fusion.tokens_to_feature_map(fused_tokens, grid, grid)
-    proj = adapter.project(student.encode_batch(student_views))
-    return fusion.mode_loss(loss_mode, proj, fused_tokens, fused_map, grid)
-
-
-def _locate_bad_sample(
-    images: np.ndarray,
-    seeds: list[int],
-    augment_cfg: aug.AugmentConfig,
-    bank: TeacherBank,
-    student: ViTEncoder,
-    adapter: Adapter,
-    loss_mode: str,
-) -> int | None:
-    for i in range(images.shape[0]):
-        try:
-            _batch_loss(
-                images[i : i + 1], seeds[i : i + 1], augment_cfg, bank, student, adapter, loss_mode
-            )
-        except ValueError:
-            return i
-    return None
-
-
 def distill_step(
     images: np.ndarray,
     seeds: list[int],
@@ -134,24 +100,33 @@ def distill_step(
     lr: float,
     loss_mode: str = "tfd+sfd",
 ) -> StepLosses:
-    """One optimizer step over a batch of raw [0,1] images."""
+    """One optimizer step over a batch of raw images, every pixel in [0, 1].
+
+    A sample outside [0, 1] raises ``NonFiniteLossError`` with its ``batch_index``
+    before any view is built. Any later ``ValueError`` (a non-finite primitive
+    output or update) raises it with ``batch_index=None``. Nothing is updated.
+    """
     if loss_mode not in fusion.LOSS_MODES:
         raise ValueError(f"loss_mode must be one of {fusion.LOSS_MODES}")
+    inside = (images >= 0.0) & (images <= 1.0)  # NaN compares False
+    bad = np.flatnonzero(~inside.reshape(images.shape[0], -1).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteLossError(f"batch index {i}: pixels outside [0, 1]", batch_index=i)
     params = student.parameters() + adapter.parameters()
+    grid = bank.config.grid
     try:
         with GradTape() as tape:
-            loss, lt, ls = _batch_loss(
-                images, seeds, augment_cfg, bank, student, adapter, loss_mode
-            )
+            teacher_views, student_views = _build_views(images, seeds, augment_cfg)
+            outs = bank.forward_all(teacher_views)  # frozen: never on tape
+            fused_tokens = fusion.fuse_tokens([o.array for o in outs])
+            fused_map = fusion.tokens_to_feature_map(fused_tokens, grid, grid)
+            proj = adapter.project(student.encode_batch(student_views))
+            loss, lt, ls = fusion.mode_loss(loss_mode, proj, fused_tokens, fused_map, grid)
         grads = tape.gradients(loss, params)
         optim.adamw_step(params, grads, opt_state, lr)
     except ValueError as exc:
-        bad = _locate_bad_sample(
-            images, seeds, augment_cfg, bank, student, adapter, loss_mode
-        )
-        raise NonFiniteLossError(
-            f"non-finite value during step (batch index {bad}): {exc}", batch_index=bad
-        ) from exc
+        raise NonFiniteLossError(f"non-finite value during step: {exc}") from exc
     return StepLosses(
         total=loss.item(),
         token=lt.item() if lt is not None else 0.0,
@@ -218,8 +193,6 @@ def load_train_checkpoint(path: str | Path):
 
 def train(cfg: TrainConfig, log=None) -> TrainResult:
     """Full distillation run; deterministic given cfg.seed (single-threaded)."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         train_ds, _ = dat.load_splits(cfg.dataset)
     except (OSError, dat.DatasetError) as exc:
@@ -231,6 +204,8 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
         tcfg.patch_size,
     ):
         raise ValueError("student and teachers must share resolution and patch size")
+    out_dir = Path(cfg.out_dir)  # only once every input has loaded: a failed run leaves nothing
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     student = ViTEncoder(cfg.student, seed=derive_seed(cfg.seed, 1))
     adapter = Adapter.create(
@@ -245,11 +220,6 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
     history: list[EpochMetrics] = []
     metrics_path = out_dir / "metrics.ndjson"
     final_path = out_dir / "student_final.dmtc"
-
-    if cfg.epochs == 0:
-        metrics_path.write_text("")
-        save_train_checkpoint(final_path, cfg, student, adapter, opt_state, step=0)
-        return TrainResult(final_path, metrics_path, history, None)
 
     global_step = 0
     with open(metrics_path, "w") as metrics_fh:
@@ -290,7 +260,8 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
                     cfg, student, adapter, opt_state, step=global_step,
                 )
     save_train_checkpoint(final_path, cfg, student, adapter, opt_state, step=global_step)
-    return TrainResult(final_path, metrics_path, history, history[-1].loss_total)
+    final_loss = history[-1].loss_total if history else None
+    return TrainResult(final_path, metrics_path, history, final_loss)
 
 
 # ------------------------------------------------------------- linear probe

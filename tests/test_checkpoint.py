@@ -44,12 +44,13 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_f32_storage(self, tmp_path, rng):
-        tensors = {"w": rng.normal(size=(2, 2))}
+        w = rng.normal(size=(2, 2)).astype("<f4")
+        md = json.dumps({"meta": {}, "tensors": [_entry("w", [2, 2], 0, dtype="f32")]}).encode()
         p = tmp_path / "x.dmtc"
-        ckpt.save_checkpoint(p, tensors, dtype="f32")
+        p.write_bytes(b"DMTC" + struct.pack("<I", 1) + struct.pack("<Q", len(md)) + md + w.tobytes())
         back, _ = ckpt.load_checkpoint(p)
         assert back["w"].dtype == np.float32
-        np.testing.assert_array_equal(back["w"], tensors["w"].astype(np.float32))
+        np.testing.assert_array_equal(back["w"], w)
 
     def test_header_layout(self, tmp_path, rng):
         p = tmp_path / "x.dmtc"

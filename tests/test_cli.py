@@ -99,6 +99,21 @@ class TestDistillAndEval:
             outputs.append((tmp_path / sub / "metrics.ndjson").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_empty_teacher_paths_exit_2_and_nothing_created(self, cli_env, tmp_path, capsys):
+        root, cfg_path = cli_env
+        out = tmp_path / "run"
+        lines = [
+            "teacher_paths=" if line.startswith("teacher_paths=")
+            else f"out_dir={out}" if line.startswith("out_dir=") else line
+            for line in cfg_path.read_text().splitlines()
+        ]
+        p = tmp_path / "empty.cfg"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["distill", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "teacher_paths" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_prints_probe_accuracy(self, cli_env, capsys):
         root, cfg_path = cli_env
         assert main(["distill", "--config", str(cfg_path)]) == 0
@@ -189,7 +204,7 @@ class TestInspect:
 
     def test_f64_dtype_shown(self, tmp_path, capsys):
         p = tmp_path / "x.dmtc"
-        save_checkpoint(p, {"w": np.zeros(4)}, dtype="f64")
+        save_checkpoint(p, {"w": np.zeros(4)})
         assert main(["inspect-ckpt", str(p)]) == 0
         assert "f64" in capsys.readouterr().out
 

@@ -1,6 +1,6 @@
 """Flat key=value config format."""
 
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
 
@@ -134,6 +134,15 @@ class TestParseErrors:
     def test_warmup_not_before_epochs_rejected(self):
         text = serialize_config(sample_config()).replace("epochs=50\n", "epochs=15\n")
         with pytest.raises(ValueError, match="warmup_epochs"):
+            parse_config(text)
+
+    def test_empty_teacher_paths_rejected(self):
+        with pytest.raises(ValueError, match="teacher_paths"):
+            replace(sample_config(), teacher_paths=())
+        text = serialize_config(sample_config()).replace(
+            "teacher_paths=a.dmtc,b.dmtc\n", "teacher_paths=\n"
+        )
+        with pytest.raises(ValueError, match="teacher_paths"):
             parse_config(text)
 
     def test_duplicate_key_rejected(self):

@@ -82,10 +82,13 @@ class TestTokensToFeatureMap:
         with pytest.raises(ValueError):
             tokens_to_feature_map(rng.normal(size=(5, 3)), 3, 2)
 
-    def test_tape_version_matches(self, rng):
-        tokens = rng.normal(size=(2, 5, 3))
-        got = student_feature_map(Tensor(tokens), 2, 2).array
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)], ids=["single", "batched"])
+    def test_tape_version_matches(self, rng, shape):
+        tokens = rng.normal(size=shape)
+        with GradTape() as tape:
+            got = student_feature_map(Tensor(tokens), 2, 2).array
         np.testing.assert_array_equal(got, tokens_to_feature_map(tokens, 2, 2))
+        assert len(tape) == 3  # slice, reshape, transpose
 
 
 class TestFuseFeatures:

@@ -27,6 +27,10 @@ class TestTensorContainer:
         with pytest.raises(ValueError, match="non-finite"):
             Tensor([np.inf, 0.0])
 
+    def test_non_finite_primitive_output_names_the_op(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale"):
+            T.scale(Tensor([1e308]), 10.0)
+
     def test_immutable_once_constructed(self):
         t = Tensor([1.0, 2.0])
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 
 from fusekd import checkpoint as ckpt
 from fusekd import data as dat
+from fusekd import fusion
 from fusekd import optim
 from fusekd import teachers as tch
 from fusekd import trainer
@@ -193,6 +194,55 @@ class TestDistillStep:
         assert exc_info.value.batch_index == 2
         assert "2" in str(exc_info.value)
 
+    @staticmethod
+    def _count_forwards(monkeypatch):
+        calls = []
+        forward_all = tch.TeacherBank.forward_all
+
+        def counted(bank, images):
+            calls.append(len(images))
+            return forward_all(bank, images)
+
+        monkeypatch.setattr(tch.TeacherBank, "forward_all", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(fusion, "token_fusion_loss"), (optim, "adamw_step")],
+        ids=["fusion-loss", "adamw-update"],
+    )
+    def test_later_failure_has_no_batch_index_and_no_replay(
+        self, micro_bank, monkeypatch, module, name
+    ):
+        bank, student, adapter, state = self._setup(micro_bank)
+        before = [p.array for p in student.parameters() + adapter.parameters()]
+        calls = self._count_forwards(monkeypatch)
+
+        def broken(*args, **kwargs):
+            raise ValueError("non-finite output of scale")
+
+        monkeypatch.setattr(module, name, broken)
+        images = dat.generate(4, seed=3).float_images()
+        seeds = [sample_seed(1, i) for i in range(4)]
+        with pytest.raises(NonFiniteLossError, match="scale") as exc_info:
+            distill_step(images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3)
+        assert exc_info.value.batch_index is None
+        assert calls == [4]
+        after = [p.array for p in student.parameters() + adapter.parameters()]
+        assert all(a is b for a, b in zip(before, after))
+
+    def test_out_of_range_sample_reported_before_any_forward(self, micro_bank, monkeypatch):
+        bank, student, adapter, state = self._setup(micro_bank)
+        calls = self._count_forwards(monkeypatch)
+        images = dat.generate(4, seed=3).float_images()
+        images[1, 0, 0, 0] = 1.5  # finite, but outside the [0, 1] pixel range
+        seeds = [sample_seed(1, i) for i in range(4)]
+        with pytest.raises(NonFiniteLossError, match="batch index 1") as exc_info:
+            distill_step(images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3)
+        assert exc_info.value.batch_index == 1
+        assert calls == []
+        assert state.t == 0
+
     def test_bad_mode_rejected(self, micro_bank):
         bank, student, adapter, state = self._setup(micro_bank)
         with pytest.raises(ValueError):
@@ -272,6 +322,25 @@ class TestTrain:
         cfg = micro_config(micro_bank, tmp_path / "nope", tmp_path / "run")
         with pytest.raises(RuntimeError, match="nope"):
             train(cfg)
+
+    @pytest.mark.parametrize(
+        "case", ["missing-dataset", "resolution-mismatch", "empty-bank", "missing-teacher"]
+    )
+    def test_failed_inputs_leave_no_run_directory(self, micro_bank, micro_data, tmp_path, case):
+        out = tmp_path / "run"
+        cfg = micro_config(micro_bank, micro_data, out)
+        if case == "missing-dataset":
+            cfg = replace(cfg, dataset=str(tmp_path / "nope"))
+        elif case == "resolution-mismatch":
+            cfg = replace(cfg, student=ViTConfig(16, 8, 2, 16, 2))
+        elif case == "empty-bank":
+            # TrainConfig rejects this when built; train() must still check first
+            object.__setattr__(cfg, "teacher_paths", ())
+        else:
+            cfg = replace(cfg, teacher_paths=(str(tmp_path / "absent.dmtc"),))
+        with pytest.raises((RuntimeError, ValueError, OSError)):
+            train(cfg)
+        assert not out.exists()
 
     def test_save_interval_writes_intermediate_checkpoints(
         self, micro_bank, micro_data, tmp_path
