@@ -108,13 +108,14 @@ def _cmd_make_teachers(args) -> int:
     unknown = [f for f in flavors if f not in tch.FLAVORS]
     if unknown:
         raise ValueError(f"unknown flavor(s) {unknown}; expected a subset of {list(tch.FLAVORS)}")
+    cfg = replace(tch.DEFAULT_TEACHER_CONFIG, embed_dim=args.embed_dim)
+    if args.epochs < 0:
+        raise ValueError("--epochs must be >= 0")
     train_ds, _ = dat.load_splits(args.data)
     images = train_ds.float_images()
+    cfg = replace(cfg, image_size=train_ds.images.shape[-1])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = replace(
-        tch.DEFAULT_TEACHER_CONFIG, image_size=train_ds.images.shape[-1], embed_dim=args.embed_dim
-    )
     for flavor in flavors:
         enc = tch.make_toy_teacher(
             args.seed, flavor, images=images, config=cfg, epochs=args.epochs

@@ -86,19 +86,21 @@ class Adapter:
     bias: Tensor  # (D,)
 
     @classmethod
-    def create(cls, in_dim: int, out_dim: int, seed: int = 0) -> "Adapter":
-        rng = np.random.default_rng(seed)
+    def from_arrays(cls, weight: np.ndarray, bias: np.ndarray) -> "Adapter":
         return cls(
-            weight=Tensor(rng.normal(0.0, 0.02, (in_dim, out_dim)), parameter=True, name="adapter_w"),
-            bias=Tensor(np.zeros(out_dim), parameter=True, name="adapter_b"),
+            weight=Tensor(weight, parameter=True, name="adapter_w"),
+            bias=Tensor(bias, parameter=True, name="adapter_b"),
         )
 
     @classmethod
+    def create(cls, in_dim: int, out_dim: int, seed: int | list[int] = 0) -> "Adapter":
+        """Weight drawn N(0, 0.02) from ``default_rng(seed)``, bias zero."""
+        rng = np.random.default_rng(seed)
+        return cls.from_arrays(rng.normal(0.0, 0.02, (in_dim, out_dim)), np.zeros(out_dim))
+
+    @classmethod
     def identity(cls, dim: int) -> "Adapter":
-        return cls(
-            weight=Tensor(np.eye(dim), parameter=True, name="adapter_w"),
-            bias=Tensor(np.zeros(dim), parameter=True, name="adapter_b"),
-        )
+        return cls.from_arrays(np.eye(dim), np.zeros(dim))
 
     def project(self, tokens: Tensor) -> Tensor:
         if tokens.shape[-1] != self.weight.shape[0]:

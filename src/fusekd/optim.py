@@ -95,6 +95,10 @@ class ScheduleSettings:
     warmup_epochs: int = 15
     floor_lr: float = 0.0
 
+    def __post_init__(self):
+        if self.base_lr < 0 or self.floor_lr < 0:
+            raise ValueError("schedule.base_lr and schedule.floor_lr must be >= 0")
+
 
 def lr_at(
     global_step: int, schedule: ScheduleSettings, total_epochs: int, steps_per_epoch: int

@@ -19,15 +19,16 @@ from . import augment as aug
 from . import checkpoint as ckpt
 from . import optim
 from . import tensor as T
+from .fusion import Adapter
 from .tensor import GradTape, Tensor
 from .vit import ViTConfig, ViTEncoder, patchify, unpatchify
 
-FLAVORS = ("masked-reconstruction", "instance-contrastive", "random-frozen")
 FLAVOR_LABELS = {
     "masked-reconstruction": "toy-mim",
     "instance-contrastive": "toy-contrastive",
     "random-frozen": "toy-random",
 }
+FLAVORS = tuple(FLAVOR_LABELS)
 
 # depth-1 teachers: at desk scale the shallow contrastive/reconstruction heads
 # settle on class-relevant (orientation-dominated) features within the short
@@ -96,10 +97,30 @@ def bank_digest(bank: TeacherBank) -> str:
     return h.hexdigest()
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _fit(params, images, seed, stream, epochs, batch_size, batch_loss) -> list[float]:
+    """AdamW at ``TEACHER_LR`` over shuffled batches; returns the per-epoch mean loss.
+
+    Epoch ``e`` draws its batch order, then whatever ``batch_loss(idx, rng, e)``
+    draws, from ``default_rng([seed, stream, e])``.
+    """
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    state = optim.init_adamw(params, weight_decay=0.0)
+    n = images.shape[0]
+    history = []
+    for epoch in range(epochs):
+        rng = np.random.default_rng([seed, stream, epoch])
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            with GradTape() as tape:
+                loss = batch_loss(order[start : start + batch_size], rng, epoch)
+            optim.adamw_step(params, tape.gradients(loss, params), state, TEACHER_LR)
+            losses.append(loss.item())
+        history.append(float(np.mean(losses)))
+    return history
 
 
 def train_masked_reconstruction(
@@ -112,42 +133,24 @@ def train_masked_reconstruction(
     """Mask patches at pixel level, regress their original pixels with a
     linear head from the corresponding tokens. Returns per-epoch mean loss."""
     enc = ViTEncoder(config, seed=seed)
-    rng = np.random.default_rng([seed, 11])
-    d, pd = config.embed_dim, config.patch_dim
-    head_w = Tensor(rng.normal(0.0, 0.02, (d, pd)), parameter=True, name="head_w")
-    head_b = Tensor(np.zeros(pd), parameter=True, name="head_b")
-    params = enc.parameters() + [head_w, head_b]
-    state = optim.init_adamw(params, weight_decay=0.0)
-    n = images.shape[0]
-    n_patches = config.num_patches
+    pd, n_patches = config.patch_dim, config.num_patches
+    head = Adapter.create(config.embed_dim, pd, seed=[seed, 11])
     n_masked = max(1, int(round(MASK_RATIO * n_patches)))
-    history = []
-    for epoch in range(epochs):
-        order_rng = np.random.default_rng([seed, 13, epoch])
-        epoch_losses = []
-        for idx in _batches(n, batch_size, order_rng):
-            batch = images[idx]
-            patches = patchify(batch, config.patch_size)  # (B, N, pd)
-            mask = np.zeros((len(idx), n_patches), dtype=bool)
-            for row in range(len(idx)):
-                mask[row, order_rng.choice(n_patches, n_masked, replace=False)] = True
-            corrupted = patches.copy()
-            corrupted[mask] = 0.0
-            masked_imgs = unpatchify(corrupted, config.patch_size, config.image_size)
-            weight = Tensor(mask[..., None].astype(np.float64))
-            target = Tensor(patches)
-            with GradTape() as tape:
-                tokens = enc.encode_batch(masked_imgs)
-                patch_tokens = T.slice_axis(tokens, 1, 1, n_patches + 1)
-                pred = T.linear(patch_tokens, head_w, head_b)
-                diff = T.sub(pred, target)
-                sq = T.mul(T.mul(diff, diff), weight)
-                loss = T.scale(T.sum_all(sq), 1.0 / (mask.sum() * pd))
-            grads = tape.gradients(loss, params)
-            optim.adamw_step(params, grads, state, TEACHER_LR)
-            epoch_losses.append(loss.item())
-        history.append(float(np.mean(epoch_losses)))
-    return enc, history
+
+    def batch_loss(idx, rng, epoch):
+        patches = patchify(images[idx], config.patch_size)  # (B, N, pd)
+        mask = np.zeros((len(idx), n_patches), dtype=bool)
+        for row in range(len(idx)):
+            mask[row, rng.choice(n_patches, n_masked, replace=False)] = True
+        corrupted = patches.copy()
+        corrupted[mask] = 0.0
+        tokens = enc.encode_batch(unpatchify(corrupted, config.patch_size, config.image_size))
+        diff = T.sub(head.project(T.slice_axis(tokens, 1, 1, n_patches + 1)), Tensor(patches))
+        sq = T.mul(T.mul(diff, diff), Tensor(mask[..., None].astype(np.float64)))
+        return T.scale(T.sum_all(sq), 1.0 / (mask.sum() * pd))
+
+    params = enc.parameters() + head.parameters()
+    return enc, _fit(params, images, seed, 13, epochs, batch_size, batch_loss)
 
 
 def train_instance_contrastive(
@@ -159,46 +162,30 @@ def train_instance_contrastive(
 ) -> tuple[ViTEncoder, list[float]]:
     """Cross-view InfoNCE on normalized class-token projections."""
     enc = ViTEncoder(config, seed=seed)
-    rng = np.random.default_rng([seed, 17])
     d = config.embed_dim
-    head_w = Tensor(rng.normal(0.0, 0.02, (d, d)), parameter=True, name="head_w")
-    head_b = Tensor(np.zeros(d), parameter=True, name="head_b")
+    head = Adapter.create(d, d, seed=[seed, 17])
     norm_g = Tensor(np.ones(d))  # plain constants: LN used as the normalizer
     norm_b = Tensor(np.zeros(d))
-    params = enc.parameters() + [head_w, head_b]
-    state = optim.init_adamw(params, weight_decay=0.0)
     view_cfg = aug.AugmentConfig(scale_min=0.5, scale_max=1.0)
-    n = images.shape[0]
-    history = []
 
-    def embed_views(view_batch: np.ndarray, b: int) -> Tensor:
-        tokens = enc.encode_batch(view_batch)
-        cls = T.reshape(T.slice_axis(tokens, 1, 0, 1), (b, d))
-        return T.layer_norm(T.linear(cls, head_w, head_b), norm_g, norm_b)
+    def embed(views: np.ndarray) -> Tensor:
+        cls = T.slice_axis(enc.encode_batch(views), 1, 0, 1)
+        return T.layer_norm(head.project(T.reshape(cls, (len(views), d))), norm_g, norm_b)
 
-    for epoch in range(epochs):
-        order_rng = np.random.default_rng([seed, 19, epoch])
-        epoch_losses = []
-        for idx in _batches(n, batch_size, order_rng):
-            b = len(idx)
-            views1 = np.empty((b, 3, config.image_size, config.image_size))
-            views2 = np.empty_like(views1)
-            for row, i in enumerate(idx):
-                view_rng = np.random.default_rng([seed, 23, epoch, int(i)])
-                views1[row] = aug.make_views(images[i], view_rng, view_cfg).student_view
-                views2[row] = aug.make_views(images[i], view_rng, view_cfg).student_view
-            eye = Tensor(np.eye(b))
-            with GradTape() as tape:
-                z1 = embed_views(views1, b)
-                z2 = embed_views(views2, b)
-                sim = T.scale(T.matmul(z1, T.transpose(z2, (1, 0))), 1.0 / (d * TEMPERATURE))
-                log_sm = T.log_softmax(sim)
-                loss = T.scale(T.sum_all(T.mul(log_sm, eye)), -1.0 / b)
-            grads = tape.gradients(loss, params)
-            optim.adamw_step(params, grads, state, TEACHER_LR)
-            epoch_losses.append(loss.item())
-        history.append(float(np.mean(epoch_losses)))
-    return enc, history
+    def batch_loss(idx, rng, epoch):
+        # both views of sample i come from its own stream, not the epoch's
+        b = len(idx)
+        views = np.empty((2, b, 3, config.image_size, config.image_size))
+        for row, i in enumerate(idx):
+            view_rng = np.random.default_rng([seed, 23, epoch, int(i)])
+            for k in range(2):
+                views[k, row] = aug.make_views(images[i], view_rng, view_cfg).student_view
+        z1, z2 = embed(views[0]), embed(views[1])
+        sim = T.scale(T.matmul(z1, T.transpose(z2, (1, 0))), 1.0 / (d * TEMPERATURE))
+        return T.scale(T.sum_all(T.mul(T.log_softmax(sim), Tensor(np.eye(b)))), -1.0 / b)
+
+    params = enc.parameters() + head.parameters()
+    return enc, _fit(params, images, seed, 19, epochs, batch_size, batch_loss)
 
 
 def make_toy_teacher(
@@ -216,11 +203,12 @@ def make_toy_teacher(
         return ViTEncoder(config, seed=seed).freeze()
     if images is None:
         raise ValueError(f"flavor {flavor!r} needs training images")
-    if flavor == "masked-reconstruction":
-        enc, _ = train_masked_reconstruction(images, config, seed, epochs, batch_size)
-    else:
-        enc, _ = train_instance_contrastive(images, config, seed, epochs, batch_size)
-    return enc.freeze()
+    fit = (
+        train_masked_reconstruction
+        if flavor == "masked-reconstruction"
+        else train_instance_contrastive
+    )
+    return fit(images, config, seed, epochs, batch_size)[0].freeze()
 
 
 def save_teacher(enc: ViTEncoder, path: str | Path, label: str = "") -> None:

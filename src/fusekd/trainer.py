@@ -24,7 +24,7 @@ from . import tensor as T
 from .config import TrainConfig, parse_config, serialize_config
 from .fusion import Adapter
 from .teachers import TeacherBank, load_bank
-from .tensor import GradTape, Tensor
+from .tensor import GradTape
 from .vit import ViTEncoder
 
 _MASK63 = (1 << 63) - 1
@@ -100,7 +100,8 @@ def distill_step(
     lr: float,
     loss_mode: str = "tfd+sfd",
 ) -> StepLosses:
-    """One optimizer step over a batch of raw images, every pixel in [0, 1].
+    """One optimizer step over a batch of raw images, every pixel in [0, 1],
+    with one view seed per image.
 
     A sample outside [0, 1] raises ``NonFiniteLossError`` with its ``batch_index``
     before any view is built. Any later ``ValueError`` (a non-finite primitive
@@ -108,6 +109,8 @@ def distill_step(
     """
     if loss_mode not in fusion.LOSS_MODES:
         raise ValueError(f"loss_mode must be one of {fusion.LOSS_MODES}")
+    if len(seeds) != images.shape[0]:
+        raise ValueError(f"{len(seeds)} view seeds for {images.shape[0]} images")
     inside = (images >= 0.0) & (images <= 1.0)  # NaN compares False
     bad = np.flatnonzero(~inside.reshape(images.shape[0], -1).all(axis=1))
     if bad.size:
@@ -179,10 +182,7 @@ def load_train_checkpoint(path: str | Path):
         student.load_arrays(
             {n[len("student.") :]: a for n, a in tensors.items() if n.startswith("student.")}
         )
-        adapter = Adapter(
-            weight=Tensor(tensors["adapter.weight"], parameter=True, name="adapter_w"),
-            bias=Tensor(tensors["adapter.bias"], parameter=True, name="adapter_b"),
-        )
+        adapter = Adapter.from_arrays(tensors["adapter.weight"], tensors["adapter.bias"])
         names = _moment_names(student)
         opt_state = optim.init_adamw(student.parameters() + adapter.parameters())
         opt_state.m = [np.asarray(tensors[f"opt.m.{n}"], dtype=np.float64) for n in names]
@@ -204,6 +204,12 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
         tcfg.patch_size,
     ):
         raise ValueError("student and teachers must share resolution and patch size")
+    if len(train_ds) == 0:
+        raise ValueError(f"{cfg.dataset}: the training split has no samples")
+    h, w = train_ds.images.shape[-2:]
+    size = cfg.student.image_size
+    if (h, w) != (size, size):
+        raise ValueError(f"{cfg.dataset}: images are {h}x{w}, the student expects {size}x{size}")
     out_dir = Path(cfg.out_dir)  # only once every input has loaded: a failed run leaves nothing
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -216,7 +222,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
 
     images = train_ds.float_images()
     n = len(train_ds)
-    steps_per_epoch = max(1, -(-n // cfg.batch_size))
+    steps_per_epoch = -(-n // cfg.batch_size)
     history: list[EpochMetrics] = []
     metrics_path = out_dir / "metrics.ndjson"
     final_path = out_dir / "student_final.dmtc"

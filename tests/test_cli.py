@@ -232,6 +232,24 @@ class TestMakeTeachers:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--epochs", "-3", "epochs"), ("--embed-dim", "33", "embed_dim")],
+        ids=["epochs", "embed-dim"],
+    )
+    def test_bad_teacher_arguments_rejected_before_loading(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # the data directory does not exist: the argument error must come first
+        out = tmp_path / "bank"
+        code = main(
+            ["make-teachers", "--data", str(tmp_path / "no-data"), "--out", str(out),
+             "--flavors", "masked-reconstruction", flag, value]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flavor_rejected_before_training(self, cli_env, tmp_path, capsys):
         root, _ = cli_env
         out = tmp_path / "bank"

@@ -1,5 +1,6 @@
 """Flat key=value config format."""
 
+import re
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
@@ -159,4 +160,21 @@ class TestParseErrors:
             "loss_mode=tfd+sfd", "loss_mode=huber"
         )
         with pytest.raises(ValueError, match="loss_mode"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key", ["base_lr", "floor_lr"])
+    def test_negative_learning_rate_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            ScheduleSettings(**{key: -1e-3})
+        text = re.sub(
+            rf"schedule\.{key}=.*", f"schedule.{key}=-1e-05", serialize_config(sample_config())
+        )
+        with pytest.raises(ValueError, match=key):
+            parse_config(text)
+
+    def test_negative_save_interval_rejected(self):
+        with pytest.raises(ValueError, match="save_interval"):
+            replace(sample_config(), save_interval=-1)
+        text = serialize_config(sample_config()).replace("save_interval=10", "save_interval=-1")
+        with pytest.raises(ValueError, match="save_interval"):
             parse_config(text)

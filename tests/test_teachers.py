@@ -18,6 +18,22 @@ def images():
     return dat.generate(128, seed=9).float_images()
 
 
+# pinned weight digest and float.hex history of each trainer: 100 images at
+# batch size 33 leave a ragged last batch of one
+GOLDEN_TRAINERS = {
+    "masked-reconstruction": (
+        tch.train_masked_reconstruction,
+        "09b884c274e5a68ba8e951ee2eb29f92a769f400cf3f6ed5c391075530b5d64e",
+        ["0x1.83403b372e9cfp-3", "0x1.75c2210a1d16cp-3"],
+    ),
+    "instance-contrastive": (
+        tch.train_instance_contrastive,
+        "cbb29e5db266ae78b305338bc0f05078e8e56df07ba5e67b77122c2666f34e76",
+        ["0x1.4a649556e8dcdp+1", "0x1.472bdea5892c4p+1"],
+    ),
+}
+
+
 class TestMakeToyTeacher:
     def test_random_frozen_equals_seeded_init(self):
         enc = tch.make_toy_teacher(3, "random-frozen", config=CFG)
@@ -47,6 +63,22 @@ class TestMakeToyTeacher:
         _, hist = tch.train_instance_contrastive(images, SMALL_CFG, seed=0, epochs=3)
         assert hist[-1] < hist[0]
 
+    @pytest.mark.parametrize("flavor", sorted(GOLDEN_TRAINERS))
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [(dict(epochs=-3), "epochs"), (dict(batch_size=0), "batch_size")],
+        ids=["negative-epochs", "zero-batch"],
+    )
+    def test_bad_budget_rejected_before_any_update(
+        self, images, monkeypatch, flavor, kwargs, match
+    ):
+        calls = []
+        monkeypatch.setattr(tch.optim, "adamw_step", lambda *args: calls.append(args))
+        fit = GOLDEN_TRAINERS[flavor][0]
+        with pytest.raises(ValueError, match=match):
+            fit(images, SMALL_CFG, seed=0, **kwargs)
+        assert calls == []
+
     def test_unknown_flavor_rejected(self, images):
         with pytest.raises(ValueError, match="flavor"):
             tch.make_toy_teacher(0, "supervised", images, SMALL_CFG)
@@ -57,6 +89,16 @@ class TestMakeToyTeacher:
         assert enc.parameters() == []
         names = [n for n, _ in enc.named_tensors()]
         assert not any("head" in n for n in names)
+
+
+class TestTrainerGolden:
+    @pytest.mark.parametrize("flavor", sorted(GOLDEN_TRAINERS))
+    def test_weights_and_history_bytes(self, flavor):
+        fit, digest, history = GOLDEN_TRAINERS[flavor]
+        images = dat.generate(100, seed=9).float_images()
+        enc, hist = fit(images, SMALL_CFG, seed=0, epochs=2, batch_size=33)
+        assert tch.bank_digest(tch.TeacherBank([enc.freeze()])) == digest
+        assert [h.hex() for h in hist] == history
 
 
 class TestReferenceBankRegression:

@@ -243,6 +243,18 @@ class TestDistillStep:
         assert calls == []
         assert state.t == 0
 
+    @pytest.mark.parametrize("n_seeds", [2, 6], ids=["too-few", "too-many"])
+    def test_seed_count_must_match_batch(self, micro_bank, monkeypatch, n_seeds):
+        bank, student, adapter, state = self._setup(micro_bank)
+        views = []
+        monkeypatch.setattr(trainer.aug, "make_views", lambda *args: views.append(args))
+        images = dat.generate(4, seed=3).float_images()
+        seeds = [sample_seed(1, i) for i in range(n_seeds)]
+        with pytest.raises(ValueError, match=f"{n_seeds} view seeds for 4 images"):
+            distill_step(images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3)
+        assert views == []
+        assert state.t == 0
+
     def test_bad_mode_rejected(self, micro_bank):
         bank, student, adapter, state = self._setup(micro_bank)
         with pytest.raises(ValueError):
@@ -324,7 +336,11 @@ class TestTrain:
             train(cfg)
 
     @pytest.mark.parametrize(
-        "case", ["missing-dataset", "resolution-mismatch", "empty-bank", "missing-teacher"]
+        "case",
+        [
+            "missing-dataset", "resolution-mismatch", "empty-bank", "missing-teacher",
+            "empty-split", "image-size-mismatch",
+        ],
     )
     def test_failed_inputs_leave_no_run_directory(self, micro_bank, micro_data, tmp_path, case):
         out = tmp_path / "run"
@@ -336,8 +352,17 @@ class TestTrain:
         elif case == "empty-bank":
             # TrainConfig rejects this when built; train() must still check first
             object.__setattr__(cfg, "teacher_paths", ())
-        else:
+        elif case == "missing-teacher":
             cfg = replace(cfg, teacher_paths=(str(tmp_path / "absent.dmtc"),))
+        elif case == "empty-split":
+            data_dir = tmp_path / "empty"
+            data_dir.mkdir()
+            dat.write_dmtd(data_dir / "train.dmtd", dat.generate(0, seed=0))
+            dat.write_dmtd(data_dir / "test.dmtd", dat.generate(4, seed=0))
+            cfg = replace(cfg, dataset=str(data_dir))
+        else:  # 8x8 images for a 16x16 student and bank
+            dat.gen_data(tmp_path / "small", 8, 4, seed=0, image_size=8)
+            cfg = replace(cfg, dataset=str(tmp_path / "small"))
         with pytest.raises((RuntimeError, ValueError, OSError)):
             train(cfg)
         assert not out.exists()
