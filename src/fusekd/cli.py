@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("eval", help="linear-probe a student checkpoint")
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--probe-epochs", type=int, default=200)
+    e.add_argument("--probe-epochs", type=int, default=trainer.PROBE_ITERS)
     e.add_argument("--seed", type=int, default=0)
 
     st = sub.add_parser("sweep-teachers", help="teacher-combination ablation sweep")
@@ -76,12 +76,12 @@ def _build_parser() -> _Parser:
         default=None,
         help="semicolon-separated index tuples, e.g. '0;1;2;0,1;0,1,2' (default: all non-empty)",
     )
-    st.add_argument("--probe-epochs", type=int, default=200)
+    st.add_argument("--probe-epochs", type=int, default=trainer.PROBE_ITERS)
     st.add_argument("--seed", type=int, default=None)
 
     sl = sub.add_parser("sweep-losses", help="loss-mode ablation sweep")
     sl.add_argument("--config", required=True)
-    sl.add_argument("--probe-epochs", type=int, default=200)
+    sl.add_argument("--probe-epochs", type=int, default=trainer.PROBE_ITERS)
     sl.add_argument("--seed", type=int, default=None)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient suites")
@@ -106,12 +106,14 @@ def _cmd_gen_data(args) -> int:
 def _cmd_make_teachers(args) -> int:
     flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
     unknown = [f for f in flavors if f not in tch.FLAVORS]
-    if unknown:
-        raise ValueError(f"unknown flavor(s) {unknown}; expected a subset of {list(tch.FLAVORS)}")
+    if unknown or not flavors:
+        raise ValueError(f"--flavors {args.flavors!r}: expected some of {list(tch.FLAVORS)}")
     cfg = replace(tch.DEFAULT_TEACHER_CONFIG, embed_dim=args.embed_dim)
-    if args.epochs < 0:
-        raise ValueError("--epochs must be >= 0")
+    if args.epochs < 0 or args.seed < 0:
+        raise ValueError("--epochs and --seed must be >= 0")
     train_ds, _ = dat.load_splits(args.data)
+    if len(train_ds) == 0:
+        raise ValueError(f"{args.data}: the training split has no samples")
     images = train_ds.float_images()
     cfg = replace(cfg, image_size=train_ds.images.shape[-1])
     out = Path(args.out)

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.save_interval < 0:
             raise ValueError("save_interval must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs > 0 and not 0 <= self.schedule.warmup_epochs < self.epochs:
             raise ValueError("need 0 <= schedule.warmup_epochs < epochs")
 

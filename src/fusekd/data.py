@@ -110,6 +110,8 @@ def gen_data(out_dir: str | Path, n_train: int, n_test: int, seed: int, image_si
     """Write train.dmtd / test.dmtd under out_dir; byte-reproducible per seed."""
     if n_train < 1 or n_test < 1:
         raise ValueError("n_train and n_test must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     full = generate(n_train + n_test, seed, image_size)

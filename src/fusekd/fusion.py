@@ -98,10 +98,6 @@ class Adapter:
         rng = np.random.default_rng(seed)
         return cls.from_arrays(rng.normal(0.0, 0.02, (in_dim, out_dim)), np.zeros(out_dim))
 
-    @classmethod
-    def identity(cls, dim: int) -> "Adapter":
-        return cls.from_arrays(np.eye(dim), np.zeros(dim))
-
     def project(self, tokens: Tensor) -> Tensor:
         if tokens.shape[-1] != self.weight.shape[0]:
             raise ValueError(

@@ -46,6 +46,13 @@ def init_adamw(params: list[Tensor], weight_decay: float = 0.05) -> AdamWState:
     )
 
 
+def adam_moments(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int):
+    """Adam's step-``t`` moments: ``(m, v, m_hat, denom)``, ``denom = sqrt(v_hat) + eps``."""
+    m = BETA1 * m + (1.0 - BETA1) * g
+    v = BETA2 * v + (1.0 - BETA2) * g * g
+    return m, v, m / (1.0 - BETA1**t), np.sqrt(v / (1.0 - BETA2**t)) + EPS
+
+
 def adamw_step(
     params: list[Tensor],
     grads: list[np.ndarray],
@@ -65,16 +72,11 @@ def adamw_step(
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {p.name!r}")
     t = state.t + 1
-    bc1 = 1.0 - BETA1**t
-    bc2 = 1.0 - BETA2**t
     updates = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        m = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        v = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
+        m, v, m_hat, denom = adam_moments(state.m[i], state.v[i], g, t)
         wd = state.weight_decay if state.decay[i] else 0.0
-        new = p.array - lr * (m_hat / (np.sqrt(v_hat) + EPS) + wd * p.array)
+        new = p.array - lr * (m_hat / denom + wd * p.array)
         # an overflowing update must not be half applied: check all, then commit
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
             raise ValueError(f"non-finite update for {p.name!r}")

@@ -10,7 +10,7 @@ budget on the synthetic set, stripped of its head, and frozen.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +50,11 @@ class BankMismatchError(ValueError):
 @dataclass
 class TeacherBank:
     teachers: list[ViTEncoder]
-    labels: list[str] = field(default_factory=list)
+    labels: list[str]
 
     def __post_init__(self):
         if not self.teachers:
             raise BankMismatchError("a bank needs at least one teacher")
-        if not self.labels:
-            self.labels = [f"teacher{i}" for i in range(len(self.teachers))]
         ref = self.teachers[0].config
         for t in self.teachers:
             c = t.config
@@ -107,8 +105,10 @@ def _fit(params, images, seed, stream, epochs, batch_size, batch_loss) -> list[f
         raise ValueError("epochs must be >= 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    state = optim.init_adamw(params, weight_decay=0.0)
     n = images.shape[0]
+    if n < 1:
+        raise ValueError("need at least one training image")
+    state = optim.init_adamw(params, weight_decay=0.0)
     history = []
     for epoch in range(epochs):
         rng = np.random.default_rng([seed, stream, epoch])

@@ -18,6 +18,7 @@ import numpy as np
 from . import augment as aug
 from . import checkpoint as ckpt
 from . import data as dat
+from . import functional as F
 from . import fusion
 from . import optim
 from . import tensor as T
@@ -275,6 +276,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
 
 PROBE_CHUNK = 256  # images per frozen forward when extracting probe features
 PROBE_LR = 0.05
+PROBE_ITERS = 200  # default full-batch Adam steps of the probe head
 PROBE_WEIGHT_DECAY = 1e-4  # L2, added to the head's weight gradient
 
 
@@ -294,9 +296,11 @@ def fit_linear_head(
     test_x: np.ndarray,
     test_y: np.ndarray,
     num_classes: int,
-    iters: int = 200,
+    iters: int = PROBE_ITERS,
 ) -> float:
-    """Full-batch softmax regression (Adam); returns held-out accuracy."""
+    """Full-batch softmax regression, Adam with L2 decay on ``w``; returns held-out accuracy."""
+    if iters < 1:
+        raise ValueError(f"probe iterations must be >= 1, got {iters}")
     if len(np.unique(train_y)) < 2:
         raise ValueError("probe needs at least two classes in the training labels")
     mu = train_x.mean(axis=0)
@@ -308,22 +312,13 @@ def fit_linear_head(
     onehot[np.arange(n), train_y.astype(int)] = 1.0
     w = np.zeros((d, num_classes))
     b = np.zeros(num_classes)
-    mw = np.zeros_like(w); vw = np.zeros_like(w)
-    mb = np.zeros_like(b); vb = np.zeros_like(b)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    mw = vw = mb = vb = 0.0  # zero first and second moments, broadcast at step 1
     for t in range(1, iters + 1):
-        logits = xs @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        p = e / e.sum(axis=1, keepdims=True)
-        g = (p - onehot) / n
-        gw = xs.T @ g + PROBE_WEIGHT_DECAY * w
-        gb = g.sum(axis=0)
-        mw = beta1 * mw + (1 - beta1) * gw; vw = beta2 * vw + (1 - beta2) * gw * gw
-        mb = beta1 * mb + (1 - beta1) * gb; vb = beta2 * vb + (1 - beta2) * gb * gb
-        bc1 = 1 - beta1**t; bc2 = 1 - beta2**t
-        w -= PROBE_LR * (mw / bc1) / (np.sqrt(vw / bc2) + eps)
-        b -= PROBE_LR * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+        g = (F.softmax_finite(xs @ w + b) - onehot) / n
+        mw, vw, m_hat, denom = optim.adam_moments(mw, vw, xs.T @ g + PROBE_WEIGHT_DECAY * w, t)
+        w -= PROBE_LR * m_hat / denom
+        mb, vb, m_hat, denom = optim.adam_moments(mb, vb, g.sum(axis=0), t)
+        b -= PROBE_LR * m_hat / denom
     pred = (xt @ w + b).argmax(axis=1)
     return float((pred == test_y.astype(int)).mean())
 
@@ -332,7 +327,7 @@ def linear_probe(
     encoder: ViTEncoder,
     train_ds: dat.Dataset,
     test_ds: dat.Dataset,
-    probe_epochs: int = 200,
+    probe_epochs: int = PROBE_ITERS,
 ) -> float:
     """Accuracy of a linear head on frozen class-token features."""
     train_x = class_token_features(encoder, train_ds.float_images())
@@ -387,6 +382,8 @@ def _sweep(
     Rows that are not single settings get ``delta_pp`` against the best
     single row's probe accuracy.
     """
+    if probe_epochs < 1:
+        raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
     train_ds, test_ds = dat.load_splits(cfg.dataset)
     rows = []
     for label, overrides, _, note in runs:
@@ -403,7 +400,7 @@ def _sweep(
 
 
 def sweep_teacher_combinations(
-    cfg: TrainConfig, subsets: list[tuple[int, ...]], probe_epochs: int = 200
+    cfg: TrainConfig, subsets: list[tuple[int, ...]], probe_epochs: int = PROBE_ITERS
 ) -> SweepTable:
     """Train once per teacher subset at a fixed seed/budget and tabulate."""
     if not subsets:
@@ -428,7 +425,7 @@ def sweep_teacher_combinations(
     return _sweep(cfg, "teacher-combination sweep", runs, probe_epochs)
 
 
-def sweep_loss_modes(cfg: TrainConfig, probe_epochs: int = 200) -> SweepTable:
+def sweep_loss_modes(cfg: TrainConfig, probe_epochs: int = PROBE_ITERS) -> SweepTable:
     """Train once per loss mode {tfd, sfd, tfd+sfd, mse} and tabulate."""
     runs = [
         (

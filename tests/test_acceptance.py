@@ -234,7 +234,7 @@ class TestAlgebraicInvariants:
         d = teacher.config.embed_dim
         student = ViTEncoder(teacher.config, seed=9)
         student.load_arrays({n: t.array for n, t in teacher.named_tensors()})
-        adapter = Adapter.identity(d)
+        adapter = Adapter.from_arrays(np.eye(d), np.zeros(d))
         params = student.parameters() + adapter.parameters()
         state = optim.init_adamw(params, weight_decay=0.0)
         images = dat.generate(8, seed=1).float_images()

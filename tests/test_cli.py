@@ -69,6 +69,32 @@ class TestDispatch:
         assert main(["--help"]) == 0
 
 
+def _config_with_out_dir(cfg_path, out, tmp_path):
+    """Copy of the ``cli_env`` config that writes to ``out``."""
+    lines = [
+        f"out_dir={out}" if line.startswith("out_dir=") else line
+        for line in cfg_path.read_text().splitlines()
+    ]
+    p = tmp_path / "out.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+@pytest.mark.parametrize("command", ["gen-data", "make-teachers", "distill"])
+def test_negative_seed_exit_2_and_nothing_created(cli_env, tmp_path, capsys, command):
+    root, cfg_path = cli_env
+    out = tmp_path / "out"
+    argv = {
+        "gen-data": ["gen-data", "--out", str(out)],
+        "make-teachers": ["make-teachers", "--data", str(root / "data"), "--out", str(out)],
+        "distill": ["distill", "--config", str(_config_with_out_dir(cfg_path, out, tmp_path))],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestGenData:
     def test_writes_files_and_is_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
@@ -128,6 +154,19 @@ class TestDistillAndEval:
         acc = float(out.split("probe_accuracy:")[1].strip())
         assert 0.0 <= acc <= 1.0
 
+    def test_eval_probe_epochs_below_one_exit_2(self, cli_env, capsys):
+        root, cfg_path = cli_env
+        assert main(["distill", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        code = main(
+            ["eval", "--ckpt", str(root / "run" / "student_final.dmtc"),
+             "--data", str(root / "data"), "--probe-epochs", "-3"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "probe_accuracy" not in captured.out
+        assert "error:" in captured.err and "iterations" in captured.err
+
     def test_eval_checkpoint_without_config_exit_2(self, cli_env, tmp_path, capsys):
         root, _ = cli_env
         p = tmp_path / "noconfig.dmtc"
@@ -156,6 +195,17 @@ class TestSweepTeachers:
         assert "error:" in err and "outside 0..2" in err
         assert "Traceback" not in err
         assert not (tmp_path / "sw").exists()
+
+
+class TestSweepLosses:
+    def test_probe_epochs_below_one_exit_2_before_any_run(self, cli_env, tmp_path, capsys):
+        root, cfg_path = cli_env
+        out = tmp_path / "sl"
+        p = _config_with_out_dir(cfg_path, out, tmp_path)
+        assert main(["sweep-losses", "--config", str(p), "--probe-epochs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "probe_epochs" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -234,8 +284,12 @@ class TestMakeTeachers:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--epochs", "-3", "epochs"), ("--embed-dim", "33", "embed_dim")],
-        ids=["epochs", "embed-dim"],
+        [
+            ("--epochs", "-3", "epochs"),
+            ("--embed-dim", "33", "embed_dim"),
+            ("--flavors", ",", "flavors"),
+        ],
+        ids=["epochs", "embed-dim", "no-flavors"],
     )
     def test_bad_teacher_arguments_rejected_before_loading(
         self, tmp_path, capsys, flag, value, message
@@ -248,6 +302,21 @@ class TestMakeTeachers:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_training_split_rejected_before_out(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        empty = dat.Dataset(np.zeros((0, 3, 16, 16), np.uint8), np.zeros(0, np.uint8))
+        for split in ("train", "test"):
+            dat.write_dmtd(data / f"{split}.dmtd", empty)
+        out = tmp_path / "bank"
+        code = main(
+            ["make-teachers", "--data", str(data), "--out", str(out),
+             "--epochs", "2", "--flavors", "masked-reconstruction"]
+        )
+        assert code == 2
+        assert "no samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flavor_rejected_before_training(self, cli_env, tmp_path, capsys):

@@ -172,6 +172,13 @@ class TestParseErrors:
         with pytest.raises(ValueError, match=key):
             parse_config(text)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            replace(sample_config(), seed=-1)
+        text = serialize_config(sample_config()).replace("\nseed=7", "\nseed=-1")
+        with pytest.raises(ValueError, match="seed"):
+            parse_config(text)
+
     def test_negative_save_interval_rejected(self):
         with pytest.raises(ValueError, match="save_interval"):
             replace(sample_config(), save_interval=-1)

@@ -66,8 +66,12 @@ class TestMakeToyTeacher:
     @pytest.mark.parametrize("flavor", sorted(GOLDEN_TRAINERS))
     @pytest.mark.parametrize(
         "kwargs, match",
-        [(dict(epochs=-3), "epochs"), (dict(batch_size=0), "batch_size")],
-        ids=["negative-epochs", "zero-batch"],
+        [
+            (dict(epochs=-3), "epochs"),
+            (dict(batch_size=0), "batch_size"),
+            (dict(images=np.zeros((0, 3, 16, 16))), "image"),
+        ],
+        ids=["negative-epochs", "zero-batch", "no-images"],
     )
     def test_bad_budget_rejected_before_any_update(
         self, images, monkeypatch, flavor, kwargs, match
@@ -76,7 +80,7 @@ class TestMakeToyTeacher:
         monkeypatch.setattr(tch.optim, "adamw_step", lambda *args: calls.append(args))
         fit = GOLDEN_TRAINERS[flavor][0]
         with pytest.raises(ValueError, match=match):
-            fit(images, SMALL_CFG, seed=0, **kwargs)
+            fit(**{"images": images, "config": SMALL_CFG, "seed": 0, **kwargs})
         assert calls == []
 
     def test_unknown_flavor_rejected(self, images):
@@ -97,7 +101,7 @@ class TestTrainerGolden:
         fit, digest, history = GOLDEN_TRAINERS[flavor]
         images = dat.generate(100, seed=9).float_images()
         enc, hist = fit(images, SMALL_CFG, seed=0, epochs=2, batch_size=33)
-        assert tch.bank_digest(tch.TeacherBank([enc.freeze()])) == digest
+        assert tch.bank_digest(tch.TeacherBank([enc.freeze()], ["t"])) == digest
         assert [h.hex() for h in hist] == history
 
 
@@ -220,7 +224,7 @@ class TestBank:
 
     def test_empty_bank_rejected(self):
         with pytest.raises(tch.BankMismatchError):
-            tch.TeacherBank(teachers=[])
+            tch.TeacherBank(teachers=[], labels=[])
 
     def test_digest_stable(self, tmp_path, rng):
         paths = self._bank_paths(tmp_path, [(SMALL_CFG, 0)])

@@ -88,7 +88,7 @@ class TestDistillStep:
         student.load_arrays(
             {n: t.array for n, t in bank.teachers[0].named_tensors()}
         )
-        adapter = Adapter.identity(32)
+        adapter = Adapter.from_arrays(np.eye(32), np.zeros(32))
         params = student.parameters() + adapter.parameters()
         state = optim.init_adamw(params, weight_decay=0.0)
         images = dat.generate(8, seed=1).float_images()
@@ -178,7 +178,7 @@ class TestDistillStep:
         arrays["patch_w"][0, 0] += 1e-3
         teacher = ViTEncoder(bank.config)
         teacher.load_arrays(arrays)
-        bumped = tch.TeacherBank([teacher.freeze()])
+        bumped = tch.TeacherBank([teacher.freeze()], ["bumped"])
         assert loss_with(bumped) != base
 
     @pytest.mark.parametrize("mode", LOSS_MODES)
@@ -439,6 +439,31 @@ class TestLinearProbe:
         sigma = np.sqrt(0.25 * 0.75 / 512)
         assert abs(acc - 0.25) <= 3 * sigma + 1e-9
 
+    @pytest.mark.parametrize(
+        "seed, n, d, k, iters, acc_hex",
+        [
+            (0, 60, 5, 3, 1, "0x1.6666666666666p-1"),
+            (1, 80, 8, 4, 200, "0x1.6000000000000p-1"),
+            (2, 50, 3, 2, 37, "0x1.b851eb851eb85p-1"),
+            (3, 97, 6, 5, 200, "0x1.8699127966ed8p-1"),
+        ],
+    )
+    def test_golden_accuracy_bits(self, seed, n, d, k, iters, acc_hex):
+        # noisy linear labels, so the held-out accuracy is neither 0 nor 1
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(d, k))
+        x = rng.normal(size=(2 * n, d))
+        y = (x @ w + rng.normal(size=(2 * n, k))).argmax(axis=1)
+        acc = fit_linear_head(x[:n], y[:n], x[n:], y[n:], k, iters=iters)
+        assert acc.hex() == acc_hex
+
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_fewer_than_one_iteration_rejected(self, iters):
+        labels = np.tile(np.arange(2), 4)
+        feats = np.eye(2)[labels]
+        with pytest.raises(ValueError, match="iterations"):
+            fit_linear_head(feats, labels, feats, labels, 2, iters=iters)
+
     def test_single_class_rejected(self):
         feats = np.random.default_rng(0).normal(size=(10, 3))
         labels = np.zeros(10)
@@ -504,6 +529,21 @@ class TestSweeps:
         combined = table.rows[2]
         assert combined.delta_pp is not None  # reported vs best single loss
         assert "baseline" in combined.note
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda cfg: sweep_teacher_combinations(cfg, [(0,)], probe_epochs=0),
+            lambda cfg: sweep_loss_modes(cfg, probe_epochs=-3),
+        ],
+        ids=["teachers", "losses"],
+    )
+    def test_probe_epochs_below_one_rejected_before_any_run(self, micro_bank, tmp_path, sweep):
+        # the dataset does not exist: the probe check must come before loading it
+        cfg = micro_config(micro_bank, tmp_path / "no-data", tmp_path / "sw")
+        with pytest.raises(ValueError, match="probe_epochs"):
+            sweep(cfg)
+        assert not (tmp_path / "sw").exists()
 
     def test_empty_subsets_rejected(self, micro_bank, micro_data, tmp_path):
         cfg = micro_config(micro_bank, micro_data, tmp_path / "sw")
