@@ -124,9 +124,6 @@ def _crop_resize(
     and then flipping it.
     """
     top, left, h, w = box
-    if (out_h, out_w) == (h, w):
-        crop = img[..., top : top + h, left : left + w]
-        return np.ascontiguousarray(crop[..., ::-1]) if flip else crop.copy()
     ys, wy = _axis_weights(h, out_h)
     xs, wx = _axis_weights(w, out_w)
     if flip:

@@ -3,11 +3,11 @@
 Layout: magic "DMTC" | u32 little-endian version (=1) | u64 metadata length |
 UTF-8 JSON metadata | raw little-endian tensor payloads. The JSON carries a
 free-form "meta" object (config echo, step, seed) and an ordered "tensors"
-list of {name, shape, dtype: "f32"|"f64", offset}; offsets are relative to
-the start of the payload section. Round trips are bit-exact. Names are
-unique, shapes and offsets are JSON integers and payload ranges do not
-overlap. A save replaces the target atomically: a crash mid-write leaves
-the previous file.
+list of {name, shape, dtype: "f64", offset}; offsets are relative to the
+start of the payload section, and "f64" is the only dtype. Round trips are
+bit-exact. Names are unique, shapes and offsets are JSON integers and
+payload ranges do not overlap. A save replaces the target atomically: a
+crash mid-write leaves the previous file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 MAGIC = b"DMTC"
 VERSION = 1
-_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_F64 = np.dtype("<f8")
 
 
 class CheckpointError(Exception):
@@ -51,12 +51,12 @@ def save_checkpoint(
     tensors: dict[str, np.ndarray],
     meta: dict | None = None,
 ) -> None:
-    """Write every tensor as f64; ``load_checkpoint`` also reads f32 entries."""
+    """Write every tensor as little-endian f64."""
     entries = []
     blobs = []
     offset = 0
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(np.asarray(arr), dtype=_DTYPES["f64"])
+        a = np.ascontiguousarray(np.asarray(arr), dtype=_F64)
         blob = a.tobytes()
         entries.append(
             {"name": name, "shape": list(a.shape), "dtype": "f64", "offset": offset}
@@ -102,7 +102,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise TruncatedError(f"{path}: metadata cut short")
     try:
         doc = json.loads(raw[16 : 16 + md_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
         raise MetadataError(f"{path}: unreadable metadata: {exc}") from exc
     if not isinstance(doc, dict):
         raise MetadataError(f"{path}: metadata is not a JSON object")
@@ -127,22 +127,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise MetadataError(f"{path}: malformed tensor entry {entry!r}")
         if name in tensors:
             raise MetadataError(f"{path}: duplicate tensor name {name!r}")
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
+        if dtype != "f64":
             raise MetadataError(f"{path}: tensor {name}: unknown dtype {dtype!r}")
-        np_dtype = _DTYPES[dtype]
         count = math.prod(shape)  # exact: a huge shape cannot wrap round to a small count
-        end = offset + count * np_dtype.itemsize
+        end = offset + count * _F64.itemsize
         if offset < 0 or end > len(payload):
             raise TruncatedError(
                 f"{path}: tensor {name} declares {count} values past end of payload"
             )
         if end > offset:  # zero-length tensors occupy no bytes
             ranges.append((offset, end, name))
-        tensors[name] = (
-            np.frombuffer(payload, dtype=np_dtype, count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64 if dtype == "f64" else np.float32)
-        )
+        tensors[name] = np.frombuffer(payload, _F64, count, offset).reshape(shape).astype(np.float64)
     ranges.sort()
     for (_, end, first), (start, _, second) in zip(ranges, ranges[1:]):
         if start < end:
@@ -158,17 +153,3 @@ def content_errors(path: str | Path):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MetadataError(f"{path}: malformed checkpoint content: {exc!r}") from exc
 
-
-def describe(path: str | Path) -> dict:
-    """Summary used by checkpoint inspection: version, tensors, total count."""
-    tensors, meta = load_checkpoint(path)  # rejects every version but VERSION
-    rows = [
-        {"name": n, "shape": list(a.shape), "dtype": "f64" if a.dtype == np.float64 else "f32", "size": int(a.size)}
-        for n, a in tensors.items()
-    ]
-    return {
-        "version": VERSION,
-        "meta": meta,
-        "tensors": rows,
-        "total_parameters": int(sum(r["size"] for r in rows)),
-    }

@@ -226,18 +226,17 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    info = ckpt.describe(args.path)
-    print(f"version: {info['version']}")
-    meta = info["meta"]
+    tensors, meta = ckpt.load_checkpoint(args.path)
+    print(f"version: {ckpt.VERSION}")
     if meta.get("kind"):
         print(f"kind: {meta['kind']}")
     if meta.get("label"):
         print(f"label: {meta['label']}")
     print(f"{'tensor':<28s} {'shape':<18s} {'dtype':<6s} {'size':>10s}")
-    for row in info["tensors"]:
-        shape = "x".join(map(str, row["shape"])) or "scalar"
-        print(f"{row['name']:<28s} {shape:<18s} {row['dtype']:<6s} {row['size']:>10d}")
-    print(f"total_parameters: {info['total_parameters']}")
+    for name, arr in tensors.items():
+        shape = "x".join(map(str, arr.shape)) or "scalar"
+        print(f"{name:<28s} {shape:<18s} {'f64':<6s} {arr.size:>10d}")
+    print(f"total_parameters: {sum(a.size for a in tensors.values())}")
     if meta.get("kind") == "teacher" and "config" in meta:
         with ckpt.content_errors(args.path):
             expected = param_count(ViTConfig(**meta["config"]))

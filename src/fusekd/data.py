@@ -112,6 +112,8 @@ def gen_data(out_dir: str | Path, n_train: int, n_test: int, seed: int, image_si
         raise ValueError("n_train and n_test must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if image_size < 1:
+        raise ValueError(f"image_size must be >= 1, got {image_size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     full = generate(n_train + n_test, seed, image_size)

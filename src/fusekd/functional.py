@@ -23,11 +23,7 @@ def _as_f64(x) -> np.ndarray:
 
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Stable softmax along `axis` (max-subtracted)."""
-    return softmax_finite(_as_f64(x), axis)
-
-
-def softmax_finite(arr: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``softmax`` of a float64 array already known to be finite (no re-scan)."""
+    arr = _as_f64(x)
     if arr.size == 0 or arr.shape[axis] < 1:
         raise ValueError("softmax of empty axis")
     shifted = arr - arr.max(axis=axis, keepdims=True)
@@ -36,11 +32,7 @@ def softmax_finite(arr: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def log_softmax(x, axis: int = -1) -> np.ndarray:
-    return log_softmax_finite(_as_f64(x), axis)
-
-
-def log_softmax_finite(arr: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``log_softmax`` of a float64 array already known to be finite (no re-scan)."""
+    arr = _as_f64(x)
     if arr.size == 0 or arr.shape[axis] < 1:
         raise ValueError("log_softmax of empty axis")
     shifted = arr - arr.max(axis=axis, keepdims=True)

@@ -27,13 +27,13 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _canonical_sum(mats: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum accumulated in a content-defined order."""
-    if not mats:
+def fuse_tokens(teacher_tokens: list[np.ndarray]) -> np.ndarray:
+    """Sum of M token matrices (..., N+1, D) or feature maps in a content-defined order."""
+    if not teacher_tokens:
         raise ValueError("need at least one input to fuse")
-    first = np.asarray(mats[0], dtype=np.float64)
+    first = np.asarray(teacher_tokens[0], dtype=np.float64)
     arrs = [first]
-    for m in mats[1:]:
+    for m in teacher_tokens[1:]:
         a = np.asarray(m, dtype=np.float64)
         if a.shape != first.shape:
             raise ValueError(f"shape mismatch in fusion: {a.shape} vs {first.shape}")
@@ -43,11 +43,6 @@ def _canonical_sum(mats: list[np.ndarray]) -> np.ndarray:
     for i in order[1:]:
         out += arrs[i]
     return out
-
-
-def fuse_tokens(teacher_tokens: list[np.ndarray]) -> np.ndarray:
-    """Sum of M token matrices (..., N+1, D) or feature maps; order-independent bit-exact."""
-    return _canonical_sum(teacher_tokens)
 
 
 def tokens_to_feature_map(tokens: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:

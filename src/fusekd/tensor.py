@@ -248,7 +248,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    y = F.softmax_finite(a.array, axis=-1)
+    y = F.softmax(a.array, axis=-1)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -258,7 +258,7 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    y = F.log_softmax_finite(a.array, axis=-1)
+    y = F.log_softmax(a.array, axis=-1)
     p = np.exp(y)
 
     def backward(g):
@@ -276,7 +276,7 @@ def kl_vs_constant(a: Tensor, target_logits: np.ndarray) -> Tensor:
     softmax/log-softmax route leaves ~1e-16 gradient noise there, which the
     optimizer's eps-normalization would amplify into real parameter drift.
     """
-    lp = F.log_softmax_finite(a.array, axis=-1)
+    lp = F.log_softmax(a.array, axis=-1)
     lq = F.log_softmax(np.asarray(target_logits, dtype=np.float64), axis=-1)
     if lp.shape != lq.shape:
         raise ValueError(f"shape mismatch: {lp.shape} vs {lq.shape}")

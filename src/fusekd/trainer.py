@@ -314,7 +314,7 @@ def fit_linear_head(
     b = np.zeros(num_classes)
     mw = vw = mb = vb = 0.0  # zero first and second moments, broadcast at step 1
     for t in range(1, iters + 1):
-        g = (F.softmax_finite(xs @ w + b) - onehot) / n
+        g = (F.softmax(xs @ w + b) - onehot) / n
         mw, vw, m_hat, denom = optim.adam_moments(mw, vw, xs.T @ g + PROBE_WEIGHT_DECAY * w, t)
         w -= PROBE_LR * m_hat / denom
         mb, vb, m_hat, denom = optim.adam_moments(mb, vb, g.sum(axis=0), t)

@@ -28,13 +28,16 @@ class ViTConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        # depth 0 is a degenerate config kept legal for testing (encode == final LN of embed)
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        for name in ("image_size", "patch_size", "embed_dim", "num_heads", "mlp_ratio"):
+            if getattr(self, name) < 1:  # before the modulo checks below
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
-        # depth 0 is a degenerate config kept legal for testing (encode == final LN of embed)
-        if self.depth < 0 or self.num_heads < 1 or self.mlp_ratio < 1:
-            raise ValueError("invalid config")
 
     @property
     def grid(self) -> int:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fusekd import checkpoint as ckpt
+from fusekd.cli import main
 
 
 def sample_tensors(rng):
@@ -18,8 +19,8 @@ def sample_tensors(rng):
     }
 
 
-def _entry(name, shape, offset, dtype="f64"):
-    return {"name": name, "shape": shape, "dtype": dtype, "offset": offset}
+def _entry(name, shape, offset):
+    return {"name": name, "shape": shape, "dtype": "f64", "offset": offset}
 
 
 class TestRoundTrip:
@@ -42,15 +43,6 @@ class TestRoundTrip:
         back, meta = ckpt.load_checkpoint(p1)
         ckpt.save_checkpoint(p2, back, meta=meta)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_f32_storage(self, tmp_path, rng):
-        w = rng.normal(size=(2, 2)).astype("<f4")
-        md = json.dumps({"meta": {}, "tensors": [_entry("w", [2, 2], 0, dtype="f32")]}).encode()
-        p = tmp_path / "x.dmtc"
-        p.write_bytes(b"DMTC" + struct.pack("<I", 1) + struct.pack("<Q", len(md)) + md + w.tobytes())
-        back, _ = ckpt.load_checkpoint(p)
-        assert back["w"].dtype == np.float32
-        np.testing.assert_array_equal(back["w"], w)
 
     def test_header_layout(self, tmp_path, rng):
         p = tmp_path / "x.dmtc"
@@ -112,11 +104,12 @@ class TestFailureModes:
         with pytest.raises(ckpt.MetadataError):
             ckpt.load_checkpoint(p)
 
-    def test_bad_dtype_in_metadata(self, tmp_path):
+    @pytest.mark.parametrize("dtype", ["f16", "f32"])  # f64 is the only on-disk dtype
+    def test_bad_dtype_in_metadata(self, tmp_path, dtype):
         doc = {
             "format_version": 1,
             "meta": {},
-            "tensors": [{"name": "w", "shape": [1], "dtype": "f16", "offset": 0}],
+            "tensors": [{"name": "w", "shape": [1], "dtype": dtype, "offset": 0}],
         }
         md = json.dumps(doc).encode()
         p = tmp_path / "x.dmtc"
@@ -186,11 +179,13 @@ class TestFailureModes:
 
 
 class TestDescribe:
-    def test_summary_fields(self, tmp_path, rng):
+    def test_summary_fields(self, tmp_path, rng, capsys):
         p = tmp_path / "x.dmtc"
         ckpt.save_checkpoint(p, sample_tensors(rng), meta={"kind": "test"})
-        info = ckpt.describe(p)
-        assert info["version"] == 1
-        assert info["total_parameters"] == 3 * 4 + 4 + 1
-        assert [r["name"] for r in info["tensors"]] == ["w", "b", "scalarish"]
-        assert all(r["dtype"] == "f64" for r in info["tensors"])
+        assert main(["inspect-ckpt", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "version: 1"
+        assert f"total_parameters: {3 * 4 + 4 + 1}" in lines
+        rows = [line.split() for line in lines[3:-1]]
+        assert [r[0] for r in rows] == ["w", "b", "scalarish"]
+        assert all(r[2] == "f64" for r in rows)

@@ -95,7 +95,30 @@ def test_negative_seed_exit_2_and_nothing_created(cli_env, tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["patch_size", "num_heads"])
+def test_zero_student_size_exit_2_and_nothing_created(cli_env, tmp_path, capsys, key):
+    root, cfg_path = cli_env
+    out = tmp_path / "out"
+    p = _config_with_out_dir(cfg_path, out, tmp_path)
+    lines = [f"student.{key}=0" if line.startswith(f"student.{key}=") else line
+             for line in p.read_text().splitlines()]
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["distill", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestGenData:
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_bad_image_size_exit_2_and_nothing_created(self, tmp_path, capsys, size):
+        out = tmp_path / "out"
+        code = main(["gen-data", "--out", str(out), "--n-train", "2", "--n-test", "2",
+                     "--image-size", size])
+        assert code == 2
+        assert "image_size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_files_and_is_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -287,9 +310,10 @@ class TestMakeTeachers:
         [
             ("--epochs", "-3", "epochs"),
             ("--embed-dim", "33", "embed_dim"),
+            ("--embed-dim", "0", "embed_dim"),
             ("--flavors", ",", "flavors"),
         ],
-        ids=["epochs", "embed-dim", "no-flavors"],
+        ids=["epochs", "embed-dim", "embed-dim-zero", "no-flavors"],
     )
     def test_bad_teacher_arguments_rejected_before_loading(
         self, tmp_path, capsys, flag, value, message

@@ -172,6 +172,12 @@ class TestParseErrors:
         with pytest.raises(ValueError, match=key):
             parse_config(text)
 
+    @pytest.mark.parametrize("key", ["patch_size", "num_heads", "embed_dim", "image_size"])
+    def test_zero_student_size_rejected(self, key):
+        text = re.sub(rf"student\.{key}=.*", f"student.{key}=0", serialize_config(sample_config()))
+        with pytest.raises(ValueError, match=key):
+            parse_config(text)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             replace(sample_config(), seed=-1)

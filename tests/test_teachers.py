@@ -155,6 +155,16 @@ class TestTeacherIO:
         with pytest.raises(ckpt.MetadataError, match="ln_f_b"):
             tch.load_teacher(p)
 
+    @pytest.mark.parametrize("key", ["patch_size", "num_heads", "image_size"])
+    def test_zero_config_size_is_metadata_error(self, tmp_path, key):
+        p = tmp_path / "t.dmtc"
+        tch.save_teacher(tch.make_toy_teacher(0, "random-frozen", config=SMALL_CFG), p)
+        tensors, meta = ckpt.load_checkpoint(p)
+        meta["config"][key] = 0
+        ckpt.save_checkpoint(p, tensors, meta=meta)
+        with pytest.raises(ckpt.MetadataError, match=key):
+            tch.load_teacher(p)
+
     def test_non_teacher_checkpoint_rejected(self, tmp_path):
         p = tmp_path / "t.dmtc"
         ckpt.save_checkpoint(p, {"w": np.zeros(3)}, meta={"kind": "other"})

@@ -15,6 +15,26 @@ def params_as_lists(enc):
     return {name: t.array.tolist() for name, t in enc.named_tensors()}
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(patch_size=0), "patch_size"),
+            (dict(patch_size=-4), "patch_size"),
+            (dict(num_heads=0), "num_heads"),
+            (dict(embed_dim=0), "embed_dim"),
+            (dict(image_size=0), "image_size"),
+            (dict(mlp_ratio=0), "mlp_ratio"),
+            (dict(depth=-1), "depth"),
+        ],
+        ids=["patch-0", "patch-neg", "heads-0", "width-0", "image-0", "mlp-0", "depth-neg"],
+    )
+    def test_non_positive_sizes_rejected(self, kwargs, field):
+        base = dict(image_size=16, patch_size=4, depth=1, embed_dim=8, num_heads=2)
+        with pytest.raises(ValueError, match=field):
+            ViTConfig(**{**base, **kwargs})
+
+
 class TestPatchify:
     def test_vitb_shape(self):
         img = np.zeros((3, 224, 224))
