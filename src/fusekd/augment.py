@@ -34,18 +34,9 @@ class AugmentConfig:
 
 
 @dataclass(frozen=True)
-class TransformRecord:
-    crop_box: tuple[int, int, int, int]  # top, left, height, width
-    flip: bool
-    jitter_order: tuple[str, ...]  # student-side; teacher jitter is identity
-    jitter_factors: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ViewPair:
     teacher_view: np.ndarray
     student_view: np.ndarray
-    record: TransformRecord
 
 
 def _check_image(image: np.ndarray) -> np.ndarray:
@@ -193,8 +184,4 @@ def make_views(image: np.ndarray, rng: np.random.Generator, config: AugmentConfi
         rng, (config.brightness, config.contrast, config.saturation)
     )
     shared = _crop_resize(img, box, out_size, out_size, flip)
-    return ViewPair(
-        teacher_view=shared,
-        student_view=apply_jitter(shared, order, factors),
-        record=TransformRecord(box, flip, order, factors),
-    )
+    return ViewPair(teacher_view=shared, student_view=apply_jitter(shared, order, factors))

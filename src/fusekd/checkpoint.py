@@ -5,9 +5,9 @@ UTF-8 JSON metadata | raw little-endian tensor payloads. The JSON carries a
 free-form "meta" object (config echo, step, seed) and an ordered "tensors"
 list of {name, shape, dtype: "f64", offset}; offsets are relative to the
 start of the payload section, and "f64" is the only dtype. Round trips are
-bit-exact. Names are unique, shapes and offsets are JSON integers and
-payload ranges do not overlap. A save replaces the target atomically: a
-crash mid-write leaves the previous file.
+bit-exact. Names are unique, shapes and offsets are JSON integers, and
+every payload byte belongs to exactly one tensor. A save replaces the
+target atomically: a crash mid-write leaves the previous file.
 """
 
 from __future__ import annotations
@@ -138,10 +138,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if end > offset:  # zero-length tensors occupy no bytes
             ranges.append((offset, end, name))
         tensors[name] = np.frombuffer(payload, _F64, count, offset).reshape(shape).astype(np.float64)
-    ranges.sort()
-    for (_, end, first), (start, _, second) in zip(ranges, ranges[1:]):
+    end, last = 0, None  # the ranges must tile the payload: no overlap, no unowned byte
+    for start, stop, name in sorted(ranges):
         if start < end:
-            raise MetadataError(f"{path}: tensors {first!r} and {second!r} overlap in the payload")
+            raise MetadataError(f"{path}: tensors {last!r} and {name!r} overlap in the payload")
+        if start > end:
+            raise MetadataError(f"{path}: payload bytes {end}..{start} belong to no tensor")
+        end, last = stop, name
+    if end != len(payload):
+        raise MetadataError(f"{path}: payload bytes {end}..{len(payload)} belong to no tensor")
     return tensors, meta
 
 

@@ -187,8 +187,8 @@ def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     reports = []
 
-    def check(name, fn, params, tol=1e-4):
-        rep = run_grad_check(fn, params, tol=tol)
+    def check(name, fn, params):
+        rep = run_grad_check(fn, params)
         reports.append((name, rep))
         print(f"{name}:")
         print(rep.summary())

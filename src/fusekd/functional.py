@@ -21,22 +21,23 @@ def _as_f64(x) -> np.ndarray:
     return arr
 
 
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Stable softmax along `axis` (max-subtracted)."""
+def softmax(x) -> np.ndarray:
+    """Stable softmax along the last axis (max-subtracted)."""
     arr = _as_f64(x)
-    if arr.size == 0 or arr.shape[axis] < 1:
+    if arr.size == 0:
         raise ValueError("softmax of empty axis")
-    shifted = arr - arr.max(axis=axis, keepdims=True)
+    shifted = arr - arr.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(x, axis: int = -1) -> np.ndarray:
+def log_softmax(x) -> np.ndarray:
+    """Stable log-softmax along the last axis."""
     arr = _as_f64(x)
-    if arr.size == 0 or arr.shape[axis] < 1:
+    if arr.size == 0:
         raise ValueError("log_softmax of empty axis")
-    shifted = arr - arr.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = arr - arr.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def kl_divergence(p, q) -> float:

@@ -83,8 +83,8 @@ class Adapter:
     @classmethod
     def from_arrays(cls, weight: np.ndarray, bias: np.ndarray) -> "Adapter":
         return cls(
-            weight=Tensor(weight, parameter=True, name="adapter_w"),
-            bias=Tensor(bias, parameter=True, name="adapter_b"),
+            weight=Tensor(weight, parameter=True, name="adapter.weight"),
+            bias=Tensor(bias, parameter=True, name="adapter.bias"),
         )
 
     @classmethod
@@ -104,13 +104,12 @@ class Adapter:
         return [self.weight, self.bias]
 
 
-def _operands(student, target, what: str) -> tuple[Tensor, np.ndarray]:
-    """The student side as a Tensor and the target as a float64 array of the same shape."""
-    s = student if isinstance(student, Tensor) else Tensor(student)
+def _target(student: Tensor, target, what: str) -> np.ndarray:
+    """``target`` as a float64 array, checked against the student's shape."""
     t = np.asarray(target, dtype=np.float64)
-    if s.shape != t.shape:
-        raise ValueError(f"{what} shape mismatch: {s.shape} vs {t.shape}")
-    return s, t
+    if student.shape != t.shape:
+        raise ValueError(f"{what} shape mismatch: {student.shape} vs {t.shape}")
+    return t
 
 
 def _mean_row_kl(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
@@ -124,20 +123,20 @@ def _mean_row_sq(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
     return T.scale(T.sum_all(T.mul(d, d)), 1.0 / rows)
 
 
-def _token_term(reduce, student_tokens, fused_tokens) -> Tensor:
+def _token_term(reduce, student_tokens: Tensor, fused_tokens) -> Tensor:
     """``reduce`` over every token row: B * (N+1) rows, each over D channels."""
-    s, t = _operands(student_tokens, fused_tokens, "token")
-    return reduce(s, t, int(np.prod(s.shape[:-1])))
+    t = _target(student_tokens, fused_tokens, "token")
+    return reduce(student_tokens, t, int(np.prod(t.shape[:-1])))
 
 
-def _spatial_term(reduce, student_map, fused_map) -> Tensor:
+def _spatial_term(reduce, student_map: Tensor, fused_map) -> Tensor:
     """``reduce`` over every channel row: B * D rows, each over N grid cells."""
-    s, t = _operands(student_map, fused_map, "feature map")
-    if s.array.ndim < 3:
+    t = _target(student_map, fused_map, "feature map")
+    if t.ndim < 3:
         raise ValueError("feature maps must be (..., D, H', W')")
-    lead = s.shape[:-2]
-    n = s.shape[-2] * s.shape[-1]
-    return reduce(T.reshape(s, lead + (n,)), t.reshape(lead + (n,)), int(np.prod(lead)))
+    lead = t.shape[:-2]
+    n = t.shape[-2] * t.shape[-1]
+    return reduce(T.reshape(student_map, lead + (n,)), t.reshape(lead + (n,)), int(np.prod(lead)))
 
 
 def token_fusion_loss(student_tokens, fused_tokens) -> Tensor:

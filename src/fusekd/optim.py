@@ -26,8 +26,8 @@ class AdamWState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     decay: list[bool]
+    weight_decay: float
     t: int = 0
-    weight_decay: float = 0.05
 
 
 _NO_DECAY_SUFFIXES = ("_b", "_g", "bias", "cls_token", "pos_embed")

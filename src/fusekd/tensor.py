@@ -59,7 +59,7 @@ class Tensor:
             raise ValueError("assign is only valid on parameters")
         arr = np.array(data, dtype=np.float64, order="C")
         if arr.shape != self.array.shape:
-            raise ValueError(f"assign shape {arr.shape} != {self.array.shape}")
+            raise ValueError(f"tensor {self.name!r}: shape {arr.shape} != {self.array.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite values assigned to {self.name!r}")
         arr.setflags(write=False)
@@ -248,7 +248,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    y = F.softmax(a.array, axis=-1)
+    y = F.softmax(a.array)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -258,7 +258,7 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    y = F.log_softmax(a.array, axis=-1)
+    y = F.log_softmax(a.array)
     p = np.exp(y)
 
     def backward(g):
@@ -276,8 +276,8 @@ def kl_vs_constant(a: Tensor, target_logits: np.ndarray) -> Tensor:
     softmax/log-softmax route leaves ~1e-16 gradient noise there, which the
     optimizer's eps-normalization would amplify into real parameter drift.
     """
-    lp = F.log_softmax(a.array, axis=-1)
-    lq = F.log_softmax(np.asarray(target_logits, dtype=np.float64), axis=-1)
+    lp = F.log_softmax(a.array)
+    lq = F.log_softmax(np.asarray(target_logits, dtype=np.float64))
     if lp.shape != lq.shape:
         raise ValueError(f"shape mismatch: {lp.shape} vs {lq.shape}")
     p = np.exp(lp)
@@ -395,15 +395,16 @@ class GradCheckReport:
 
 
 GRAD_CHECK_FLOOR = 1e-4
+GRAD_CHECK_STEP = 1e-5
 
 
 def run_grad_check(
     computation: Callable[[], Tensor],
     params: Sequence[Tensor],
-    h: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
-    """Compare tape gradients of a scalar computation to central differences.
+    """Compare tape gradients of a scalar computation to central differences
+    with step ``GRAD_CHECK_STEP``.
 
     ``computation`` must close over ``params`` and be deterministic; it is run
     twice up front and any bitwise difference is an error. Relative error per
@@ -428,13 +429,13 @@ def run_grad_check(
         worst = 0.0
         for i in range(base.size):
             bumped = base.copy()
-            bumped.flat[i] = base.flat[i] + h
+            bumped.flat[i] = base.flat[i] + GRAD_CHECK_STEP
             p.assign(bumped)
             f_plus = computation().item()
-            bumped.flat[i] = base.flat[i] - h
+            bumped.flat[i] = base.flat[i] - GRAD_CHECK_STEP
             p.assign(bumped)
             f_minus = computation().item()
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             a = float(a_grad.flat[i])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
             worst = max(worst, rel)

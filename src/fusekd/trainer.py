@@ -25,7 +25,7 @@ from . import tensor as T
 from .config import TrainConfig, parse_config, serialize_config
 from .fusion import Adapter
 from .teachers import TeacherBank, load_bank
-from .tensor import GradTape
+from .tensor import GradTape, Tensor
 from .vit import ViTEncoder
 
 _MASK63 = (1 << 63) - 1
@@ -73,7 +73,6 @@ class EpochMetrics:
 class TrainResult:
     checkpoint_path: Path
     metrics_path: Path
-    epochs: list[EpochMetrics]
     final_loss: float | None
 
 
@@ -138,16 +137,9 @@ def distill_step(
     )
 
 
-def _student_tensors(student: ViTEncoder, adapter: Adapter) -> dict[str, np.ndarray]:
-    out = {f"student.{n}": t.array for n, t in student.named_tensors()}
-    out["adapter.weight"] = adapter.weight.array
-    out["adapter.bias"] = adapter.bias.array
-    return out
-
-
-def _moment_names(student: ViTEncoder) -> list[str]:
-    """Checkpoint names of the AdamW moments, aligned with student + adapter parameters."""
-    return [n for n, _ in student.named_tensors()] + ["adapter.weight", "adapter.bias"]
+def _named_params(student: ViTEncoder, adapter: Adapter) -> list[tuple[str, Tensor]]:
+    """Every trained tensor in AdamW order, named as its moments are saved (``opt.m.<name>``)."""
+    return student.named_tensors() + [(t.name, t) for t in adapter.parameters()]
 
 
 def save_train_checkpoint(
@@ -158,8 +150,9 @@ def save_train_checkpoint(
     opt_state: optim.AdamWState,
     step: int,
 ) -> None:
-    tensors = _student_tensors(student, adapter)
-    for name, m, v in zip(_moment_names(student), opt_state.m, opt_state.v):
+    tensors = {f"student.{n}": t.array for n, t in student.named_tensors()}
+    tensors.update((t.name, t.array) for t in adapter.parameters())
+    for (name, _), m, v in zip(_named_params(student, adapter), opt_state.m, opt_state.v):
         tensors[f"opt.m.{name}"] = m
         tensors[f"opt.v.{name}"] = v
     meta = {
@@ -173,23 +166,47 @@ def save_train_checkpoint(
 
 
 def load_train_checkpoint(path: str | Path):
-    """Returns (config, student, adapter, opt_state, step)."""
+    """Returns (config, student, adapter, opt_state, step).
+
+    Besides the format checks of ``load_checkpoint``, the state a resume
+    reads must be sound: the adapter maps the student width to some width D
+    (``(D', D)`` weight, ``(D,)`` bias), every AdamW moment is finite with
+    its parameter's shape and ``v >= 0``, and ``step`` and ``opt_t`` are
+    non-negative integers. Anything else raises ``MetadataError``.
+    """
     tensors, meta = ckpt.load_checkpoint(path)
     if meta.get("kind") != "train_state":
         raise ckpt.MetadataError(f"{path}: not a training checkpoint")
     with ckpt.content_errors(path):
+        for key in ("step", "opt_t"):
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise ckpt.MetadataError(f"{path}: {key} {meta[key]!r} is not an integer >= 0")
         cfg = parse_config(meta["config"])
         student = ViTEncoder(cfg.student, seed=0)
         student.load_arrays(
             {n[len("student.") :]: a for n, a in tensors.items() if n.startswith("student.")}
         )
-        adapter = Adapter.from_arrays(tensors["adapter.weight"], tensors["adapter.bias"])
-        names = _moment_names(student)
-        opt_state = optim.init_adamw(student.parameters() + adapter.parameters())
-        opt_state.m = [np.asarray(tensors[f"opt.m.{n}"], dtype=np.float64) for n in names]
-        opt_state.v = [np.asarray(tensors[f"opt.v.{n}"], dtype=np.float64) for n in names]
-        opt_state.t = int(meta.get("opt_t", 0))
-        return cfg, student, adapter, opt_state, int(meta.get("step", 0))
+        w, b = tensors["adapter.weight"], tensors["adapter.bias"]
+        width = cfg.student.embed_dim
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise ckpt.MetadataError(
+                f"{path}: adapter.weight {w.shape} and adapter.bias {b.shape} "
+                f"are not ({width}, D) and (D,)"
+            )
+        adapter = Adapter.from_arrays(w, b)
+        named = _named_params(student, adapter)
+        opt_state = optim.init_adamw([t for _, t in named])
+        opt_state.m = [tensors[f"opt.m.{n}"] for n, _ in named]
+        opt_state.v = [tensors[f"opt.v.{n}"] for n, _ in named]
+        for (n, t), m, v in zip(named, opt_state.m, opt_state.v):
+            if m.shape != t.shape or v.shape != t.shape:
+                raise ckpt.MetadataError(
+                    f"{path}: moments of {n} are {m.shape} and {v.shape}, not {t.shape}"
+                )
+            if not (np.isfinite(m).all() and np.isfinite(v).all() and (v >= 0).all()):
+                raise ckpt.MetadataError(f"{path}: moments of {n} must be finite, with opt.v >= 0")
+        opt_state.t = meta["opt_t"]
+        return cfg, student, adapter, opt_state, meta["step"]
 
 
 def train(cfg: TrainConfig, log=None) -> TrainResult:
@@ -224,7 +241,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
     images = train_ds.float_images()
     n = len(train_ds)
     steps_per_epoch = -(-n // cfg.batch_size)
-    history: list[EpochMetrics] = []
+    final_loss = None
     metrics_path = out_dir / "metrics.ndjson"
     final_path = out_dir / "student_final.dmtc"
 
@@ -253,7 +270,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
                 loss_spatial=sums[2] / steps_per_epoch,
                 lr=lr_epoch,
             )
-            history.append(em)
+            final_loss = em.loss_total
             metrics_fh.write(json.dumps(asdict(em), sort_keys=True) + "\n")
             if log:
                 log(
@@ -267,8 +284,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
                     cfg, student, adapter, opt_state, step=global_step,
                 )
     save_train_checkpoint(final_path, cfg, student, adapter, opt_state, step=global_step)
-    final_loss = history[-1].loss_total if history else None
-    return TrainResult(final_path, metrics_path, history, final_loss)
+    return TrainResult(final_path, metrics_path, final_loss)
 
 
 # ------------------------------------------------------------- linear probe

@@ -111,70 +111,52 @@ class ViTEncoder:
         self.frozen = False
         rng = np.random.default_rng(seed)
         d = config.embed_dim
-
-        def normal(shape, name):
-            return Tensor(rng.normal(0.0, 0.02, shape), parameter=True, name=name)
-
-        def fill(shape, value, name):
-            return Tensor(np.full(shape, value), parameter=True, name=name)
-
-        self.patch_w = normal((config.patch_dim, d), "patch_w")
-        self.patch_b = fill((d,), 0.0, "patch_b")
-        self.cls_token = fill((d,), 0.0, "cls_token")
-        self.pos_embed = normal((config.num_patches + 1, d), "pos_embed")
-        self.blocks = []
         hidden = config.mlp_ratio * d
-        for i in range(config.depth):
-            self.blocks.append(
-                {
-                    "ln1_g": fill((d,), 1.0, f"b{i}.ln1_g"),
-                    "ln1_b": fill((d,), 0.0, f"b{i}.ln1_b"),
-                    "qkv_w": normal((d, 3 * d), f"b{i}.qkv_w"),
-                    "qkv_b": fill((3 * d,), 0.0, f"b{i}.qkv_b"),
-                    "proj_w": normal((d, d), f"b{i}.proj_w"),
-                    "proj_b": fill((d,), 0.0, f"b{i}.proj_b"),
-                    "ln2_g": fill((d,), 1.0, f"b{i}.ln2_g"),
-                    "ln2_b": fill((d,), 0.0, f"b{i}.ln2_b"),
-                    "fc1_w": normal((d, hidden), f"b{i}.fc1_w"),
-                    "fc1_b": fill((hidden,), 0.0, f"b{i}.fc1_b"),
-                    "fc2_w": normal((hidden, d), f"b{i}.fc2_w"),
-                    "fc2_b": fill((d,), 0.0, f"b{i}.fc2_b"),
-                }
-            )
-        self.ln_f_g = fill((d,), 1.0, "ln_f_g")
-        self.ln_f_b = fill((d,), 0.0, "ln_f_b")
+        self._tensors: list[Tensor] = []  # creation order is checkpoint order
+
+        def param(name, shape, fill):
+            """A parameter drawn N(0, 0.02) from ``rng``, or constant ``fill``."""
+            arr = rng.normal(0.0, 0.02, shape) if fill is None else np.full(shape, fill)
+            t = Tensor(arr, parameter=True, name=name)
+            self._tensors.append(t)
+            return t
+
+        self.patch_w = param("patch_w", (config.patch_dim, d), None)
+        self.patch_b = param("patch_b", (d,), 0.0)
+        self.cls_token = param("cls_token", (d,), 0.0)
+        self.pos_embed = param("pos_embed", (config.num_patches + 1, d), None)
+        block = (
+            ("ln1_g", (d,), 1.0), ("ln1_b", (d,), 0.0),
+            ("qkv_w", (d, 3 * d), None), ("qkv_b", (3 * d,), 0.0),
+            ("proj_w", (d, d), None), ("proj_b", (d,), 0.0),
+            ("ln2_g", (d,), 1.0), ("ln2_b", (d,), 0.0),
+            ("fc1_w", (d, hidden), None), ("fc1_b", (hidden,), 0.0),
+            ("fc2_w", (hidden, d), None), ("fc2_b", (d,), 0.0),
+        )
+        self.blocks = [
+            {key: param(f"b{i}.{key}", shape, fill) for key, shape, fill in block}
+            for i in range(config.depth)
+        ]
+        self.ln_f_g = param("ln_f_g", (d,), 1.0)
+        self.ln_f_b = param("ln_f_b", (d,), 0.0)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("patch_w", self.patch_w),
-            ("patch_b", self.patch_b),
-            ("cls_token", self.cls_token),
-            ("pos_embed", self.pos_embed),
-        ]
-        for i, blk in enumerate(self.blocks):
-            out.extend((f"b{i}.{k}", v) for k, v in blk.items())
-        out.extend([("ln_f_g", self.ln_f_g), ("ln_f_b", self.ln_f_b)])
-        return out
+        return [(t.name, t) for t in self._tensors]
 
     def parameters(self) -> list[Tensor]:
-        if self.frozen:
-            return []
-        return [t for _, t in self.named_tensors()]
+        return [] if self.frozen else list(self._tensors)
 
     def freeze(self) -> ViTEncoder:
         """Make this encoder a fixed teacher: no parameters, no tape, no further assigns."""
         self.frozen = True
-        for _, t in self.named_tensors():
+        for t in self._tensors:
             object.__setattr__(t, "parameter", False)
         return self
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Set every weight; a frozen encoder rejects this (load, then ``freeze``)."""
-        for name, t in self.named_tensors():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise ValueError(f"tensor {name}: shape {arr.shape} != {t.shape}")
-            t.assign(arr)
+        for t in self._tensors:
+            t.assign(arrays[t.name])
 
     def embed(self, images: np.ndarray) -> Tensor:
         """(B, 3, H, W) -> token matrix (B, N+1, D); row 0 is cls + pos0."""

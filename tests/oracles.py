@@ -68,6 +68,20 @@ def bilinear_resize_naive(image, out_h, out_w):
     return out
 
 
+def view_draws(height, width, rng, config):
+    """The (crop box, flip, jitter order, jitter factors) that ``make_views`` draws from ``rng``.
+
+    Replays its draws in its order through the library's samplers, which
+    ``test_augment`` pins separately against frozen goldens.
+    """
+    from fusekd import augment as aug
+
+    box = aug.sample_crop_box(height, width, rng, (config.scale_min, config.scale_max))
+    flip = bool(rng.random() < config.flip_prob)
+    order, factors = aug.sample_jitter(rng, (config.brightness, config.contrast, config.saturation))
+    return box, flip, order, factors
+
+
 def fuse_naive(mats):
     """Triple-loop elementwise sum of equally shaped nested lists (2-D)."""
     rows, cols = len(mats[0]), len(mats[0][0])

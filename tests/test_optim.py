@@ -5,9 +5,10 @@ import pytest
 
 import oracles
 from fusekd.config import TrainConfig
+from fusekd.fusion import Adapter
 from fusekd.optim import ScheduleSettings, adamw_step, init_adamw, lr_at
 from fusekd.tensor import Tensor
-from fusekd.vit import ViTConfig
+from fusekd.vit import ViTConfig, ViTEncoder
 
 
 def make_param(value, name="p"):
@@ -74,10 +75,15 @@ class TestAdamWStep:
         assert p.array[0] == 1.0
 
     def test_default_decay_flags_by_name(self):
-        names = ["patch_w", "patch_b", "cls_token", "pos_embed", "b0.ln1_g", "adapter_w"]
-        params = [make_param(1.0, name=n) for n in names]
-        state = init_adamw(params, weight_decay=0.05)
-        assert state.decay == [True, False, False, False, False, True]
+        enc = ViTEncoder(ViTConfig(4, 2, 1, 4, 1), seed=0)
+        state = init_adamw(enc.parameters() + Adapter.create(4, 8).parameters(), weight_decay=0.05)
+        assert state.decay == [
+            True, False, False, False,  # patch_w, patch_b, cls_token, pos_embed
+            False, False, True, False, True, False,  # b0: ln1_g, ln1_b, qkv_w, qkv_b, proj_w, proj_b
+            False, False, True, False, True, False,  # b0: ln2_g, ln2_b, fc1_w, fc1_b, fc2_w, fc2_b
+            False, False,  # ln_f_g, ln_f_b
+            True, False,  # adapter weight, bias
+        ]
 
     def test_errors(self):
         p = make_param([1.0, 2.0])

@@ -17,6 +17,7 @@ TINY = ViTConfig(image_size=4, patch_size=2, depth=0, embed_dim=4, num_heads=1)
 TYPED = (ckpt.CheckpointError, dat.DatasetError)
 VALUES = (0xFF, ord("0"), ord("9"), ord("-"))  # written over one byte
 NAN = struct.pack("<d", float("nan"))
+TRAILING = (b"\0", b"\0" * 8, NAN)  # bytes appended after the last payload
 DEPTH = 100_000  # far past the interpreter's recursion limit
 
 
@@ -24,6 +25,17 @@ def _with_metadata(raw: bytes, md: bytes) -> bytes:
     """``raw`` (a DMTC file) with its metadata swapped for ``md``; payload kept."""
     (md_len,) = struct.unpack("<Q", raw[8:16])
     return raw[:8] + struct.pack("<Q", len(md)) + md + raw[16 + md_len :]
+
+
+def _header_len(raw: bytes) -> int:
+    """Header plus metadata length of a DMTC file."""
+    return 16 + struct.unpack("<Q", raw[8:16])[0]
+
+
+def _nan_slots(raw: bytes, header_len: int):
+    """(label, bytes) with a NaN written over each 8-byte payload slot in turn."""
+    for off in range(header_len, len(raw) - 7, 8):
+        yield f"NaN at payload byte {off - header_len}", raw[:off] + NAN + raw[off + 8 :]
 
 
 def _mutants(raw: bytes, header_len: int, rng: np.random.Generator, payload_slots: bool):
@@ -35,9 +47,8 @@ def _mutants(raw: bytes, header_len: int, rng: np.random.Generator, payload_slot
             if raw[i] != v:
                 yield f"byte {i} set to {v:#04x}", raw[:i] + bytes([v]) + raw[i + 1 :]
     if payload_slots:
-        for off in range(header_len, len(raw) - 7, 8):
-            yield f"NaN at payload byte {off - header_len}", raw[:off] + NAN + raw[off + 8 :]
-    for extra in (b"\0", b"\0" * 8, NAN):
+        yield from _nan_slots(raw, header_len)
+    for extra in TRAILING:
         yield f"{len(extra)} trailing bytes", raw + extra
     for k in range(50):  # a few random bytes anywhere, random values
         buf = bytearray(raw)
@@ -79,7 +90,7 @@ def test_malformed_files_raise_only_typed_errors(tmp_path):
     ]
     escaped, tried = [], 0
     for name, reader, raw, is_dmtc in cases:
-        header_len = 16 + struct.unpack("<Q", raw[8:16])[0] if is_dmtc else 16
+        header_len = _header_len(raw) if is_dmtc else 16
         mutants = list(_mutants(raw, header_len, rng, payload_slots=is_dmtc))
         if is_dmtc:
             mutants.append(("metadata nested 100,000 deep", _with_metadata(raw, deep)))
@@ -95,3 +106,32 @@ def test_malformed_files_raise_only_typed_errors(tmp_path):
                 escaped.append(f"{name}, {label}: {type(exc).__name__}: {exc}"[:300])
     assert tried > 10_000
     assert not escaped, f"{len(escaped)} of {tried} mutants escaped:\n" + "\n".join(escaped[:20])
+
+
+def test_unowned_bytes_and_nan_weights_or_moments_raise(tmp_path):
+    """Bytes after the last tensor fail every DMTC reader; a NaN in any
+    payload slot fails the loaders that build an encoder or optimizer state."""
+    teacher = _teacher_file(tmp_path / "teacher.dmtc")
+    train = _train_file(tmp_path / "train.dmtc")
+    cases = [
+        ("load_checkpoint", ckpt.load_checkpoint, teacher, False),
+        ("load_checkpoint", ckpt.load_checkpoint, train, False),
+        ("load_teacher", tch.load_teacher, teacher, True),
+        ("load_train_checkpoint", trainer.load_train_checkpoint, train, True),
+    ]
+    loaded, tried = [], 0
+    p = tmp_path / "mutant.dmtc"
+    for name, reader, raw, nan_slots in cases:
+        mutants = [(f"{len(extra)} trailing bytes", raw + extra) for extra in TRAILING]
+        if nan_slots:
+            mutants += list(_nan_slots(raw, _header_len(raw)))
+        for label, data in mutants:
+            p.write_bytes(data)
+            tried += 1
+            try:
+                reader(p)
+            except ckpt.CheckpointError:
+                continue
+            loaded.append(f"{name}, {label}")
+    assert tried > 100
+    assert not loaded, f"{len(loaded)} of {tried} mutants loaded:\n" + "\n".join(loaded[:20])
