@@ -9,7 +9,7 @@ view only. Images are (3, H, W) float64 in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +25,10 @@ class AugmentConfig:
     saturation: float = 0.4
 
     def __post_init__(self):
+        for f in fields(self):  # first: NaN slips through every comparison below
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"augment.{f.name} must be finite, got {value}")
         if not (0.0 < self.scale_min <= self.scale_max <= 1.0):
             raise ValueError("need 0 < scale_min <= scale_max <= 1")
         if not (0.0 <= self.flip_prob <= 1.0):

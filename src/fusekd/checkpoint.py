@@ -5,8 +5,9 @@ UTF-8 JSON metadata | raw little-endian tensor payloads. The JSON carries a
 free-form "meta" object (config echo, step, seed) and an ordered "tensors"
 list of {name, shape, dtype: "f64", offset}; offsets are relative to the
 start of the payload section, and "f64" is the only dtype. Round trips are
-bit-exact. Names are unique, shapes and offsets are JSON integers, and
-every payload byte belongs to exactly one tensor. A save replaces the
+bit-exact. Names are unique, shapes and offsets are JSON integers, and the
+payloads lie back to back in table order: each tensor starts where the one
+before it ends, and the last one ends the file. A save replaces the
 target atomically: a crash mid-write leaves the previous file.
 """
 
@@ -111,7 +112,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise MetadataError(f"{path}: 'tensors' must be a list and 'meta' an object")
     payload = raw[16 + md_len :]
     tensors: dict[str, np.ndarray] = {}
-    ranges = []
+    end = 0  # payloads lie back to back in table order, as save_checkpoint writes them
     for entry in entries:
         try:
             name, shape, dtype, offset = entry["name"], entry["shape"], entry["dtype"], entry["offset"]
@@ -129,22 +130,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise MetadataError(f"{path}: duplicate tensor name {name!r}")
         if dtype != "f64":
             raise MetadataError(f"{path}: tensor {name}: unknown dtype {dtype!r}")
+        if offset != end:
+            raise MetadataError(f"{path}: tensor {name} starts at payload byte {offset}, not {end}")
         count = math.prod(shape)  # exact: a huge shape cannot wrap round to a small count
         end = offset + count * _F64.itemsize
-        if offset < 0 or end > len(payload):
+        if end > len(payload):
             raise TruncatedError(
                 f"{path}: tensor {name} declares {count} values past end of payload"
             )
-        if end > offset:  # zero-length tensors occupy no bytes
-            ranges.append((offset, end, name))
         tensors[name] = np.frombuffer(payload, _F64, count, offset).reshape(shape).astype(np.float64)
-    end, last = 0, None  # the ranges must tile the payload: no overlap, no unowned byte
-    for start, stop, name in sorted(ranges):
-        if start < end:
-            raise MetadataError(f"{path}: tensors {last!r} and {name!r} overlap in the payload")
-        if start > end:
-            raise MetadataError(f"{path}: payload bytes {end}..{start} belong to no tensor")
-        end, last = stop, name
     if end != len(payload):
         raise MetadataError(f"{path}: payload bytes {end}..{len(payload)} belong to no tensor")
     return tensors, meta

@@ -206,12 +206,10 @@ def _cmd_gradcheck(args) -> int:
     adapter = Adapter.create(8, 16, seed=args.seed + 1)
     img = rng.random((1, 3, 16, 16))
     t_tokens = rng.normal(size=(1, cfg.num_patches + 1, 16))
-    t_map = fusion.tokens_to_feature_map(t_tokens, cfg.grid, cfg.grid)
 
     def end_to_end():
         proj = adapter.project(enc.encode_batch(img))
-        smap = fusion.student_feature_map(proj, cfg.grid, cfg.grid)
-        return fusion.total_loss(proj, t_tokens, smap, t_map)
+        return fusion.mode_loss("tfd+sfd", proj, [t_tokens])[0]
 
     params = enc.parameters() + adapter.parameters()
     if args.tiny:

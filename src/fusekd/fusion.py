@@ -19,6 +19,7 @@ averaging denominators but compares raw embeddings with squared error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,14 +174,17 @@ def mse_loss_variant(student_tokens, fused_tokens, student_map, fused_map) -> Te
     )
 
 
-LOSS_MODES = ("tfd+sfd", "tfd", "sfd", "mse")
+LOSS_MODES = ("tfd", "sfd", "tfd+sfd", "mse")
 
 
 def mode_loss(
-    mode: str, proj: Tensor, fused_tokens: np.ndarray, fused_map: np.ndarray, grid: int
+    mode: str, proj: Tensor, teacher_tokens: list[np.ndarray]
 ) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """Training objective for one of ``LOSS_MODES``, from the projected student tokens.
+    """Training objective for one of ``LOSS_MODES``, from the projected student
+    tokens (B, N+1, D) and each teacher's tokens of the same shape.
 
+    The target is ``fuse_tokens(teacher_tokens)``, on a square grid of
+    ``isqrt(N)``; only modes with a spatial term build its feature map.
     Returns (loss, token_term, spatial_term); a term the mode leaves out of
     the gradient is None. ``mse`` swaps both KL terms for squared error.
     """
@@ -188,12 +192,11 @@ def mode_loss(
         raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
     token_term = mse_token_term if mode == "mse" else token_fusion_loss
     spatial_term = mse_spatial_term if mode == "mse" else spatial_fusion_loss
+    fused_tokens = fuse_tokens(teacher_tokens)
+    lt = None if mode == "sfd" else token_term(proj, fused_tokens)
     if mode == "tfd":
-        lt = token_term(proj, fused_tokens)
         return lt, lt, None
-    if mode == "sfd":
-        ls = spatial_term(student_feature_map(proj, grid, grid), fused_map)
-        return ls, None, ls
-    lt = token_term(proj, fused_tokens)
+    grid = math.isqrt(fused_tokens.shape[-2] - 1)
+    fused_map = tokens_to_feature_map(fused_tokens, grid, grid)
     ls = spatial_term(student_feature_map(proj, grid, grid), fused_map)
-    return T.add(lt, ls), lt, ls
+    return (ls, None, ls) if mode == "sfd" else (T.add(lt, ls), lt, ls)

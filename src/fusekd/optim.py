@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,6 +99,10 @@ class ScheduleSettings:
     floor_lr: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):  # first: NaN slips through every comparison below
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"schedule.{f.name} must be finite, got {value}")
         if self.base_lr < 0 or self.floor_lr < 0:
             raise ValueError("schedule.base_lr and schedule.floor_lr must be >= 0")
 

@@ -69,13 +69,6 @@ class TeacherBank:
             if not t.frozen:
                 raise BankMismatchError("bank teachers must be frozen")
 
-    def __len__(self) -> int:
-        return len(self.teachers)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.teachers[0].config.embed_dim
-
     @property
     def config(self) -> ViTConfig:
         return self.teachers[0].config
@@ -221,8 +214,7 @@ def load_teacher(path: str | Path) -> tuple[ViTEncoder, str]:
     if meta.get("kind") != "teacher":
         raise ckpt.MetadataError(f"{path}: not a teacher checkpoint")
     with ckpt.content_errors(path):
-        enc = ViTEncoder(ViTConfig(**meta["config"]), seed=0)
-        enc.load_arrays(tensors)
+        enc = ViTEncoder.from_arrays(ViTConfig(**meta["config"]), tensors)
     return enc.freeze(), str(meta.get("label", ""))
 
 

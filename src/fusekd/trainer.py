@@ -117,15 +117,12 @@ def distill_step(
         i = int(bad[0])
         raise NonFiniteLossError(f"batch index {i}: pixels outside [0, 1]", batch_index=i)
     params = student.parameters() + adapter.parameters()
-    grid = bank.config.grid
     try:
         with GradTape() as tape:
             teacher_views, student_views = _build_views(images, seeds, augment_cfg)
             outs = bank.forward_all(teacher_views)  # frozen: never on tape
-            fused_tokens = fusion.fuse_tokens([o.array for o in outs])
-            fused_map = fusion.tokens_to_feature_map(fused_tokens, grid, grid)
             proj = adapter.project(student.encode_batch(student_views))
-            loss, lt, ls = fusion.mode_loss(loss_mode, proj, fused_tokens, fused_map, grid)
+            loss, lt, ls = fusion.mode_loss(loss_mode, proj, [o.array for o in outs])
         grads = tape.gradients(loss, params)
         optim.adamw_step(params, grads, opt_state, lr)
     except ValueError as exc:
@@ -142,6 +139,18 @@ def _named_params(student: ViTEncoder, adapter: Adapter) -> list[tuple[str, Tens
     return student.named_tensors() + [(t.name, t) for t in adapter.parameters()]
 
 
+def _train_tensors(
+    student: ViTEncoder, adapter: Adapter, opt_state: optim.AdamWState
+) -> dict[str, np.ndarray]:
+    """Every tensor of a training checkpoint, in file order."""
+    tensors = {f"student.{n}": t.array for n, t in student.named_tensors()}
+    tensors.update((t.name, t.array) for t in adapter.parameters())
+    for (name, _), m, v in zip(_named_params(student, adapter), opt_state.m, opt_state.v):
+        tensors[f"opt.m.{name}"] = m
+        tensors[f"opt.v.{name}"] = v
+    return tensors
+
+
 def save_train_checkpoint(
     path: str | Path,
     cfg: TrainConfig,
@@ -150,11 +159,6 @@ def save_train_checkpoint(
     opt_state: optim.AdamWState,
     step: int,
 ) -> None:
-    tensors = {f"student.{n}": t.array for n, t in student.named_tensors()}
-    tensors.update((t.name, t.array) for t in adapter.parameters())
-    for (name, _), m, v in zip(_named_params(student, adapter), opt_state.m, opt_state.v):
-        tensors[f"opt.m.{name}"] = m
-        tensors[f"opt.v.{name}"] = v
     meta = {
         "kind": "train_state",
         "config": serialize_config(cfg),
@@ -162,7 +166,7 @@ def save_train_checkpoint(
         "opt_t": opt_state.t,
         "seed": cfg.seed,
     }
-    ckpt.save_checkpoint(path, tensors, meta=meta)
+    ckpt.save_checkpoint(path, _train_tensors(student, adapter, opt_state), meta=meta)
 
 
 def load_train_checkpoint(path: str | Path):
@@ -172,7 +176,10 @@ def load_train_checkpoint(path: str | Path):
     reads must be sound: the adapter maps the student width to some width D
     (``(D', D)`` weight, ``(D,)`` bias), every AdamW moment is finite with
     its parameter's shape and ``v >= 0``, and ``step`` and ``opt_t`` are
-    non-negative integers. Anything else raises ``MetadataError``.
+    non-negative integers. The student's tensors are exactly its config's
+    ``param_table``, checked before anything is allocated, and the file holds
+    no tensor that ``save_train_checkpoint`` would not write. Anything else
+    raises ``MetadataError``.
     """
     tensors, meta = ckpt.load_checkpoint(path)
     if meta.get("kind") != "train_state":
@@ -182,9 +189,9 @@ def load_train_checkpoint(path: str | Path):
             if type(meta[key]) is not int or meta[key] < 0:
                 raise ckpt.MetadataError(f"{path}: {key} {meta[key]!r} is not an integer >= 0")
         cfg = parse_config(meta["config"])
-        student = ViTEncoder(cfg.student, seed=0)
-        student.load_arrays(
-            {n[len("student.") :]: a for n, a in tensors.items() if n.startswith("student.")}
+        student = ViTEncoder.from_arrays(
+            cfg.student,
+            {n[len("student.") :]: a for n, a in tensors.items() if n.startswith("student.")},
         )
         w, b = tensors["adapter.weight"], tensors["adapter.bias"]
         width = cfg.student.embed_dim
@@ -205,6 +212,10 @@ def load_train_checkpoint(path: str | Path):
                 )
             if not (np.isfinite(m).all() and np.isfinite(v).all() and (v >= 0).all()):
                 raise ckpt.MetadataError(f"{path}: moments of {n} must be finite, with opt.v >= 0")
+        known = _train_tensors(student, adapter, opt_state)
+        for name in tensors:
+            if name not in known:
+                raise ckpt.MetadataError(f"{path}: unexpected tensor {name!r}")
         opt_state.t = meta["opt_t"]
         return cfg, student, adapter, opt_state, meta["step"]
 
@@ -233,7 +244,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
 
     student = ViTEncoder(cfg.student, seed=derive_seed(cfg.seed, 1))
     adapter = Adapter.create(
-        cfg.student.embed_dim, bank.embed_dim, seed=derive_seed(cfg.seed, 2)
+        cfg.student.embed_dim, bank.config.embed_dim, seed=derive_seed(cfg.seed, 2)
     )
     params = student.parameters() + adapter.parameters()
     opt_state = optim.init_adamw(params)
@@ -442,7 +453,7 @@ def sweep_teacher_combinations(
 
 
 def sweep_loss_modes(cfg: TrainConfig, probe_epochs: int = PROBE_ITERS) -> SweepTable:
-    """Train once per loss mode {tfd, sfd, tfd+sfd, mse} and tabulate."""
+    """Train once per mode of ``fusion.LOSS_MODES``, in its order, and tabulate."""
     runs = [
         (
             mode,
@@ -450,6 +461,6 @@ def sweep_loss_modes(cfg: TrainConfig, probe_epochs: int = PROBE_ITERS) -> Sweep
             mode in ("tfd", "sfd"),
             "combined (comparison baseline)" if mode == "tfd+sfd" else "",
         )
-        for mode in ("tfd", "sfd", "tfd+sfd", "mse")
+        for mode in fusion.LOSS_MODES
     ]
     return _sweep(cfg, "loss-mode sweep", runs, probe_epochs)

@@ -8,7 +8,9 @@ reject parameter updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,65 +82,77 @@ def unpatchify(patches: np.ndarray, patch_size: int, image_size: int) -> np.ndar
     return np.ascontiguousarray(x.reshape(lead + (3, image_size, image_size)))
 
 
-def param_count(config: ViTConfig) -> int:
-    """Exact scalar-parameter count for a config."""
+def param_table(config: ViTConfig) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
+    """Every parameter as ``(name, shape, fill)`` in creation order, which is
+    checkpoint order; ``fill`` None means drawn N(0, 0.02), else the constant."""
     d = config.embed_dim
-    n = config.num_patches
-    pd = config.patch_dim
     hidden = config.mlp_ratio * d
-    per_block = (
-        2 * d  # pre-attn LN
-        + d * 3 * d + 3 * d  # qkv
-        + d * d + d  # attn output projection
-        + 2 * d  # pre-MLP LN
-        + d * hidden + hidden  # fc1
-        + hidden * d + d  # fc2
+    block = (
+        ("ln1_g", (d,), 1.0), ("ln1_b", (d,), 0.0),
+        ("qkv_w", (d, 3 * d), None), ("qkv_b", (3 * d,), 0.0),
+        ("proj_w", (d, d), None), ("proj_b", (d,), 0.0),
+        ("ln2_g", (d,), 1.0), ("ln2_b", (d,), 0.0),
+        ("fc1_w", (d, hidden), None), ("fc1_b", (hidden,), 0.0),
+        ("fc2_w", (hidden, d), None), ("fc2_b", (d,), 0.0),
     )
-    return (
-        pd * d + d  # patch embedding
-        + d  # class token
-        + (n + 1) * d  # positional embeddings
-        + config.depth * per_block
-        + 2 * d  # final LN
+    yield "patch_w", (config.patch_dim, d), None
+    yield "patch_b", (d,), 0.0
+    yield "cls_token", (d,), 0.0
+    yield "pos_embed", (config.num_patches + 1, d), None
+    for i in range(config.depth):
+        yield from ((f"b{i}.{key}", shape, fill) for key, shape, fill in block)
+    yield "ln_f_g", (d,), 1.0
+    yield "ln_f_b", (d,), 0.0
+
+
+def param_count(config: ViTConfig) -> int:
+    """Exact scalar-parameter count; one block is summed once, so any depth is cheap."""
+    stem, with_block = (
+        sum(math.prod(s) for _, s, _ in param_table(replace(config, depth=k))) for k in (0, 1)
     )
+    return stem + config.depth * (with_block - stem)
 
 
 class ViTEncoder:
     """Parameter container plus the differentiable forward pass."""
 
     def __init__(self, config: ViTConfig, seed: int = 0):
-        self.config = config
-        self.frozen = False
         rng = np.random.default_rng(seed)
-        d = config.embed_dim
-        hidden = config.mlp_ratio * d
-        self._tensors: list[Tensor] = []  # creation order is checkpoint order
+        self._bind(config, {
+            name: rng.normal(0.0, 0.02, shape) if fill is None else np.full(shape, fill)
+            for name, shape, fill in param_table(config)
+        })
 
-        def param(name, shape, fill):
-            """A parameter drawn N(0, 0.02) from ``rng``, or constant ``fill``."""
-            arr = rng.normal(0.0, 0.02, shape) if fill is None else np.full(shape, fill)
-            t = Tensor(arr, parameter=True, name=name)
-            self._tensors.append(t)
-            return t
+    @classmethod
+    def from_arrays(cls, config: ViTConfig, arrays: dict[str, np.ndarray]) -> ViTEncoder:
+        """Copies of ``arrays`` as parameters, no init drawn. Before anything is
+        allocated, the first name of ``param_table(config)`` that is missing or
+        mis-shaped, then the first name outside it, raises ``ValueError``."""
+        known = set()
+        for name, shape, _ in param_table(config):
+            if name not in arrays:
+                raise ValueError(f"missing tensor {name!r}")
+            if np.shape(arrays[name]) != shape:
+                raise ValueError(f"tensor {name!r} has shape {np.shape(arrays[name])}, not {shape}")
+            known.add(name)
+        extra = [name for name in arrays if name not in known]
+        if extra:
+            raise ValueError(f"unexpected tensor {extra[0]!r}")
+        enc = cls.__new__(cls)
+        enc._bind(config, arrays)
+        return enc
 
-        self.patch_w = param("patch_w", (config.patch_dim, d), None)
-        self.patch_b = param("patch_b", (d,), 0.0)
-        self.cls_token = param("cls_token", (d,), 0.0)
-        self.pos_embed = param("pos_embed", (config.num_patches + 1, d), None)
-        block = (
-            ("ln1_g", (d,), 1.0), ("ln1_b", (d,), 0.0),
-            ("qkv_w", (d, 3 * d), None), ("qkv_b", (3 * d,), 0.0),
-            ("proj_w", (d, d), None), ("proj_b", (d,), 0.0),
-            ("ln2_g", (d,), 1.0), ("ln2_b", (d,), 0.0),
-            ("fc1_w", (d, hidden), None), ("fc1_b", (hidden,), 0.0),
-            ("fc2_w", (hidden, d), None), ("fc2_b", (d,), 0.0),
-        )
-        self.blocks = [
-            {key: param(f"b{i}.{key}", shape, fill) for key, shape, fill in block}
-            for i in range(config.depth)
-        ]
-        self.ln_f_g = param("ln_f_g", (d,), 1.0)
-        self.ln_f_b = param("ln_f_b", (d,), 0.0)
+    def _bind(self, config: ViTConfig, arrays: dict[str, np.ndarray]) -> None:
+        """Wrap ``arrays`` as parameters in table order, which is checkpoint order."""
+        self.config, self.frozen = config, False
+        self._tensors = [Tensor(arrays[n], parameter=True, name=n) for n, _, _ in param_table(config)]
+        self.blocks: list[dict[str, Tensor]] = [{} for _ in range(config.depth)]
+        for t in self._tensors:  # "b{i}.{key}" joins block i; the rest become attributes
+            block, _, key = t.name.partition(".")
+            if key:
+                self.blocks[int(block[1:])][key] = t
+            else:
+                setattr(self, t.name, t)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return [(t.name, t) for t in self._tensors]
@@ -152,11 +166,6 @@ class ViTEncoder:
         for t in self._tensors:
             object.__setattr__(t, "parameter", False)
         return self
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every weight; a frozen encoder rejects this (load, then ``freeze``)."""
-        for t in self._tensors:
-            t.assign(arrays[t.name])
 
     def embed(self, images: np.ndarray) -> Tensor:
         """(B, 3, H, W) -> token matrix (B, N+1, D); row 0 is cls + pos0."""

@@ -260,8 +260,9 @@ class TestAlgebraicInvariants:
         teacher = tch.make_toy_teacher(0, "random-frozen")
         bank = tch.TeacherBank([teacher], ["t"])
         d = teacher.config.embed_dim
-        student = ViTEncoder(teacher.config, seed=9)
-        student.load_arrays({n: t.array for n, t in teacher.named_tensors()})
+        student = ViTEncoder.from_arrays(
+            teacher.config, {n: t.array for n, t in teacher.named_tensors()}
+        )
         adapter = Adapter.from_arrays(np.eye(d), np.zeros(d))
         params = student.parameters() + adapter.parameters()
         state = optim.init_adamw(params, weight_decay=0.0)

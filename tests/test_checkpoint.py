@@ -129,6 +129,8 @@ class TestFailureModes:
             # a repeated name must not let the later entry silently win
             ({"meta": {}, "tensors": [_entry("w", [1], 0), _entry("w", [1], 8)]}, b"\0" * 16),
             ({"meta": {}, "tensors": [_entry("a", [2], 0), _entry("b", [2], 8)]}, b"\0" * 24),
+            # "c" holds no bytes, but table order still puts it at 8, where "b" ends
+            ({"meta": {}, "tensors": [_entry("a", [0], 0), _entry("b", [1], 0), _entry("c", [0, 3], 4)]}, b"\0" * 8),
             # dims and offsets are JSON integers: nothing truncated or coerced
             ({"meta": {}, "tensors": [_entry("w", [2.7], 0)]}, b"\0" * 24),
             ({"meta": {}, "tensors": [_entry("w", [1], 8.9)]}, b"\0" * 24),
@@ -139,7 +141,7 @@ class TestFailureModes:
         ],
         ids=[
             "list-document", "tensors-int", "meta-list", "dtype-list", "negative-dim",
-            "duplicate-name", "overlapping-ranges", "float-dim", "float-offset",
+            "duplicate-name", "overlapping-ranges", "zero-length-off-table-order", "float-dim", "float-offset",
             "bool-dim", "string-dim", "bool-offset", "string-offset",
         ],
     )
@@ -151,7 +153,7 @@ class TestFailureModes:
             ckpt.load_checkpoint(p)
 
     def test_zero_length_tensors_never_overlap(self, tmp_path):
-        doc = {"meta": {}, "tensors": [_entry("a", [0], 0), _entry("b", [1], 0), _entry("c", [0, 3], 4)]}
+        doc = {"meta": {}, "tensors": [_entry("a", [0], 0), _entry("b", [1], 0), _entry("c", [0, 3], 8)]}
         md = json.dumps(doc).encode()
         p = tmp_path / "x.dmtc"
         p.write_bytes(b"DMTC" + struct.pack("<I", 1) + struct.pack("<Q", len(md)) + md + b"\0" * 8)

@@ -109,6 +109,19 @@ def test_zero_student_size_exit_2_and_nothing_created(cli_env, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_nan_learning_rate_exit_2_and_nothing_created(cli_env, tmp_path, capsys):
+    root, cfg_path = cli_env
+    out = tmp_path / "out"
+    p = _config_with_out_dir(cfg_path, out, tmp_path)
+    lines = ["schedule.base_lr=nan" if line.startswith("schedule.base_lr=") else line
+             for line in p.read_text().splitlines()]
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["distill", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "schedule.base_lr must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestGenData:
     @pytest.mark.parametrize("size", ["0", "-2"])
     def test_bad_image_size_exit_2_and_nothing_created(self, tmp_path, capsys, size):

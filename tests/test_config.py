@@ -172,6 +172,16 @@ class TestParseErrors:
         with pytest.raises(ValueError, match=key):
             parse_config(text)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [k for k, v, _ in leaves(sample_config()) if isinstance(v, float)],
+    )
+    def test_non_finite_float_rejected(self, key, value):
+        text = re.sub(rf"{re.escape(key)}=.*", f"{key}={value}", serialize_config(sample_config()))
+        with pytest.raises(ValueError, match=rf"{re.escape(key)} must be finite"):
+            parse_config(text)
+
     @pytest.mark.parametrize("key", ["patch_size", "num_heads", "embed_dim", "image_size"])
     def test_zero_student_size_rejected(self, key):
         text = re.sub(rf"student\.{key}=.*", f"student.{key}=0", serialize_config(sample_config()))

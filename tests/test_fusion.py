@@ -7,9 +7,12 @@ import pytest
 
 import oracles
 from fusekd import functional as F
+from fusekd import fusion
 from fusekd.fusion import (
+    LOSS_MODES,
     Adapter,
     fuse_tokens,
+    mode_loss,
     mse_loss_variant,
     mse_spatial_term,
     mse_token_term,
@@ -250,6 +253,73 @@ class TestMseVariant:
         m = rng.normal(size=(2, 2))
         with pytest.raises(ValueError, match="feature maps"):
             mse_spatial_term(Tensor(m), m)
+
+
+# mode -> (token oracle, spatial oracle); None where the mode has no such term
+MODE_ORACLES = {
+    "tfd": (oracles.tfd_naive, None),
+    "sfd": (None, oracles.sfd_naive),
+    "tfd+sfd": (oracles.tfd_naive, oracles.sfd_naive),
+    "mse": (oracles.mse_token_naive, oracles.mse_spatial_naive),
+}
+
+
+class TestModeLoss:
+    @pytest.mark.parametrize("grid", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_matches_loop_oracles(self, rng, mode, m, grid):
+        b, n1, d = 2, grid * grid + 1, 4
+        teachers = [rng.normal(size=(b, n1, d)) for _ in range(m)]
+        proj = rng.normal(size=(b, n1, d))
+        loss, lt, ls = mode_loss(mode, Tensor(proj), teachers)
+        token_oracle, spatial_oracle = MODE_ORACLES[mode]
+        assert (lt is None) == (token_oracle is None)
+        assert (ls is None) == (spatial_oracle is None)
+        # every sample has N+1 token rows and D channel rows: the batch mean is the sample mean
+        fused = [oracles.fuse_naive([t[i].tolist() for t in teachers]) for i in range(b)]
+        expect = 0.0
+        for term, oracle, view in (
+            (lt, token_oracle, lambda rows: rows),
+            (ls, spatial_oracle, lambda rows: oracles.tokens_to_map_naive(rows, grid, grid)),
+        ):
+            if oracle is not None:
+                want = np.mean([oracle(view(proj[i].tolist()), view(fused[i])) for i in range(b)])
+                assert abs(term.item() - want) < 1e-10
+                expect += want
+        assert abs(loss.item() - expect) < 1e-10
+
+    @pytest.mark.parametrize("mode, combined", [("tfd+sfd", total_loss), ("mse", mse_loss_variant)])
+    def test_two_term_modes_equal_combined_losses_bit_exact(self, rng, mode, combined):
+        teachers = [rng.normal(size=(2, 10, 4)) for _ in range(3)]
+        proj = Tensor(rng.normal(size=(2, 10, 4)))
+        fused = fuse_tokens(teachers)
+        want = combined(
+            proj, fused, student_feature_map(proj, 3, 3), tokens_to_feature_map(fused, 3, 3)
+        )
+        assert mode_loss(mode, proj, teachers)[0].item() == want.item()
+
+    def test_tfd_builds_no_feature_map(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tfd must not build a feature map")
+
+        monkeypatch.setattr(fusion, "tokens_to_feature_map", refuse)
+        monkeypatch.setattr(fusion, "student_feature_map", refuse)
+        teachers = [rng.normal(size=(2, 5, 4)) for _ in range(2)]
+        proj = Tensor(rng.normal(size=(2, 5, 4)))
+        loss, lt, ls = mode_loss("tfd", proj, teachers)
+        assert ls is None and lt is loss
+        assert loss.item() == token_fusion_loss(proj, fuse_tokens(teachers)).item()
+
+    def test_unknown_mode_is_value_error(self, rng):
+        z = rng.normal(size=(1, 5, 4))
+        with pytest.raises(ValueError, match="loss_mode"):
+            mode_loss("huber", Tensor(z), [z])
+
+    def test_non_square_grid_is_value_error(self, rng):
+        z = rng.normal(size=(1, 6, 4))  # 5 patch tokens
+        with pytest.raises(ValueError, match="grid"):
+            mode_loss("sfd", Tensor(z), [z])
 
 
 class TestLossInvariants:

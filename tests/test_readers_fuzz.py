@@ -1,15 +1,18 @@
 """Seeded fuzz of the file readers: a malformed file raises only the typed reader errors."""
 
+import json
 import struct
+from dataclasses import asdict, replace
 
 import numpy as np
+import pytest
 
 from fusekd import checkpoint as ckpt
 from fusekd import data as dat
 from fusekd import optim
 from fusekd import teachers as tch
 from fusekd import trainer
-from fusekd.config import TrainConfig
+from fusekd.config import TrainConfig, serialize_config
 from fusekd.fusion import Adapter
 from fusekd.vit import ViTConfig, ViTEncoder
 
@@ -19,6 +22,7 @@ VALUES = (0xFF, ord("0"), ord("9"), ord("-"))  # written over one byte
 NAN = struct.pack("<d", float("nan"))
 TRAILING = (b"\0", b"\0" * 8, NAN)  # bytes appended after the last payload
 DEPTH = 100_000  # far past the interpreter's recursion limit
+HUGE = 10**12  # so wide that numpy refuses the array at once rather than allocating it
 
 
 def _with_metadata(raw: bytes, md: bytes) -> bytes:
@@ -62,16 +66,73 @@ def _teacher_file(path):
     return path.read_bytes()
 
 
-def _train_file(path):
-    cfg = TrainConfig(
-        student=TINY, teacher_paths=("t.dmtc",), dataset="data", out_dir="run", epochs=1,
+def _train_config(student):
+    return TrainConfig(
+        student=student, teacher_paths=("t.dmtc",), dataset="data", out_dir="run", epochs=1,
         batch_size=2, schedule=optim.ScheduleSettings(warmup_epochs=0),
     )
+
+
+def _train_file(path):
     student = ViTEncoder(TINY, seed=1)
     adapter = Adapter.create(TINY.embed_dim, TINY.embed_dim, seed=2)
     state = optim.init_adamw(student.parameters() + adapter.parameters())
-    trainer.save_train_checkpoint(path, cfg, student, adapter, state, step=3)
+    trainer.save_train_checkpoint(path, _train_config(TINY), student, adapter, state, step=3)
     return path.read_bytes()
+
+
+def _plus(write_file, name, shape):
+    """A clean file from ``write_file`` plus one tensor its writer never writes."""
+    def build(path):
+        write_file(path)
+        tensors, meta = ckpt.load_checkpoint(path)
+        ckpt.save_checkpoint(path, {**tensors, name: np.zeros(shape)}, meta=meta)
+    return build
+
+
+def _huge_teacher(path):
+    """A teacher whose config is 10**12 wide, with no tensors."""
+    config = asdict(replace(TINY, embed_dim=HUGE))
+    ckpt.save_checkpoint(path, {}, meta={"kind": "teacher", "label": "", "config": config})
+
+
+def _huge_train(path):
+    """A training checkpoint whose student is 10**12 wide, with no tensors."""
+    config = serialize_config(_train_config(replace(TINY, embed_dim=HUGE)))
+    meta = {"kind": "train_state", "config": config, "step": 0, "opt_t": 0, "seed": 0}
+    ckpt.save_checkpoint(path, {}, meta=meta)
+
+
+def _reversed_teacher(path):
+    """A clean teacher whose tensor table lists the payloads last to first."""
+    raw = _teacher_file(path)
+    doc = json.loads(raw[16 : _header_len(raw)])
+    doc["tensors"].reverse()
+    path.write_bytes(_with_metadata(raw, json.dumps(doc).encode()))
+
+
+@pytest.mark.parametrize(
+    "load, build",
+    [
+        (tch.load_teacher, _plus(_teacher_file, "junk", (3,))),
+        (tch.load_teacher, _plus(_teacher_file, "b7.qkv_w", (4, 12))),
+        (trainer.load_train_checkpoint, _plus(_train_file, "junk", (3,))),
+        (trainer.load_train_checkpoint, _plus(_train_file, "opt.m.junk", (3,))),
+        (trainer.load_train_checkpoint, _plus(_train_file, "student.b7.qkv_w", (4, 12))),
+        (tch.load_teacher, _huge_teacher),
+        (trainer.load_train_checkpoint, _huge_train),
+        (tch.load_teacher, _reversed_teacher),
+    ],
+    ids=[
+        "teacher+junk", "teacher+b7.qkv_w", "train+junk", "train+opt.m.junk",
+        "train+student.b7.qkv_w", "teacher-1e12-wide", "train-1e12-wide", "teacher-reversed-table",
+    ],
+)
+def test_loaders_reject_what_their_writer_does_not_write(tmp_path, load, build):
+    path = tmp_path / "x.dmtc"
+    build(path)
+    with pytest.raises(ckpt.CheckpointError):
+        load(path)
 
 
 def test_malformed_files_raise_only_typed_errors(tmp_path):

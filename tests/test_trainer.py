@@ -95,9 +95,8 @@ class TestDistillStep:
 
     def test_self_distillation_fixed_point(self, micro_bank):
         bank = tch.load_bank(micro_bank[:1])
-        student = ViTEncoder(TEACHER_CFG, seed=99)
-        student.load_arrays(
-            {n: t.array for n, t in bank.teachers[0].named_tensors()}
+        student = ViTEncoder.from_arrays(
+            TEACHER_CFG, {n: t.array for n, t in bank.teachers[0].named_tensors()}
         )
         adapter = Adapter.from_arrays(np.eye(32), np.zeros(32))
         params = student.parameters() + adapter.parameters()
@@ -187,8 +186,7 @@ class TestDistillStep:
         base = loss_with(bank)
         arrays = {n: t.array.copy() for n, t in bank.teachers[0].named_tensors()}
         arrays["patch_w"][0, 0] += 1e-3
-        teacher = ViTEncoder(bank.config)
-        teacher.load_arrays(arrays)
+        teacher = ViTEncoder.from_arrays(bank.config, arrays)
         bumped = tch.TeacherBank([teacher.freeze()], ["bumped"])
         assert loss_with(bumped) != base
 

@@ -181,14 +181,34 @@ class TestFrozen:
         with pytest.raises(ValueError):
             enc.patch_b.assign(np.ones(8))
 
-    def test_frozen_encoder_rejects_load_arrays(self):
-        enc = ViTEncoder(TINY, seed=0)
-        arrays = {n: t.array + 1.0 for n, t in enc.named_tensors()}
-        enc.freeze()
-        before = enc.patch_w.array.copy()
-        with pytest.raises(ValueError):
-            enc.load_arrays(arrays)
-        np.testing.assert_array_equal(enc.patch_w.array, before)
+
+class TestFromArrays:
+    def test_wraps_copies_in_checkpoint_order(self):
+        enc = ViTEncoder(TINY, seed=3)
+        arrays = {n: t.array for n, t in enc.named_tensors()}
+        loaded = ViTEncoder.from_arrays(TINY, arrays)
+        assert [n for n, _ in loaded.named_tensors()] == list(arrays)
+        for (name, t), (_, u) in zip(enc.named_tensors(), loaded.named_tensors()):
+            np.testing.assert_array_equal(u.array, t.array)
+            assert u.parameter and u.array is not t.array
+        named = dict(loaded.named_tensors())
+        assert loaded.blocks[1]["fc2_b"] is named["b1.fc2_b"] and loaded.patch_w is named["patch_w"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.pop("b1.qkv_w"), "missing tensor 'b1.qkv_w'"),
+            (lambda a: a.update(junk=np.zeros(2)), "unexpected tensor 'junk'"),
+            (lambda a: a.update({"b2.qkv_w": np.zeros((8, 24))}), "unexpected tensor 'b2.qkv_w'"),
+            (lambda a: a.update(pos_embed=np.zeros((16, 8))), "tensor 'pos_embed' has shape"),
+        ],
+        ids=["missing", "junk", "extra-block", "shape"],
+    )
+    def test_names_the_first_wrong_tensor(self, edit, message):
+        arrays = {n: t.array for n, t in ViTEncoder(TINY, seed=0).named_tensors()}
+        edit(arrays)
+        with pytest.raises(ValueError, match=message):
+            ViTEncoder.from_arrays(TINY, arrays)
 
 
 class TestPermutationCoherence:
@@ -233,6 +253,12 @@ class TestParamCount:
         cfg = ViTConfig(image_size=16, patch_size=16, depth=0, embed_dim=8, num_heads=2)
         # patch embed 768*8+8, cls 8, pos 2*8, final LN 16
         assert param_count(cfg) == 768 * 8 + 8 + 8 + 16 + 16
+
+    def test_huge_depth_counted_without_walking_every_block(self):
+        # one ViT-T block by hand: qkv 3d^2+3d, proj d^2+d, fc1 4d^2+4d, fc2 4d^2+d, two LNs 4d
+        d = 192
+        block = 12 * d * d + 13 * d
+        assert param_count(ViTConfig(224, 16, 10**9, d, 3)) == 5_524_416 + (10**9 - 12) * block
 
     def test_matches_brute_force_enumeration(self):
         for cfg in (TINY, ViTConfig(16, 4, 1, 12, 3)):
