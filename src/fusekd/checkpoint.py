@@ -24,6 +24,7 @@ import numpy as np
 
 MAGIC = b"DMTC"
 VERSION = 1
+_HEADER = struct.Struct("<4sIQ")  # magic, version, metadata length
 _F64 = np.dtype("<f8")
 
 
@@ -74,9 +75,7 @@ def save_checkpoint(
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<Q", len(md)))
+            fh.write(_HEADER.pack(MAGIC, VERSION, len(md)))
             fh.write(md)
             for blob in blobs:
                 fh.write(blob)
@@ -91,18 +90,18 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Returns (tensors in declared order, meta dict)."""
     raw = Path(path).read_bytes()
-    if len(raw) < 16:
+    if len(raw) < _HEADER.size:
         raise TruncatedError(f"{path}: file shorter than header")
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack("<I", raw[4:8])
+    magic, version, md_len = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise BadVersionError(f"{path}: unsupported version {version}")
-    (md_len,) = struct.unpack("<Q", raw[8:16])
-    if len(raw) < 16 + md_len:
+    md_end = _HEADER.size + md_len
+    if len(raw) < md_end:
         raise TruncatedError(f"{path}: metadata cut short")
     try:
-        doc = json.loads(raw[16 : 16 + md_len].decode("utf-8"))
+        doc = json.loads(raw[_HEADER.size : md_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
         raise MetadataError(f"{path}: unreadable metadata: {exc}") from exc
     if not isinstance(doc, dict):
@@ -110,7 +109,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     entries, meta = doc.get("tensors", []), doc.get("meta", {})
     if not isinstance(entries, list) or not isinstance(meta, dict):
         raise MetadataError(f"{path}: 'tensors' must be a list and 'meta' an object")
-    payload = raw[16 + md_len :]
+    payload = raw[md_end:]
     tensors: dict[str, np.ndarray] = {}
     end = 0  # payloads lie back to back in table order, as save_checkpoint writes them
     for entry in entries:

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error (usage text on stderr), 2 runtime
-failure. Every subcommand accepts --seed and all numeric output is
-deterministic given it.
+failure. The commands that draw random numbers take --seed (gen-data,
+make-teachers, gradcheck), and distill and the sweeps take it as an
+override of the config's seed; all numeric output is deterministic given
+it. eval and inspect-ckpt draw nothing and take no --seed.
 """
 
 from __future__ import annotations
@@ -37,60 +39,58 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    # parent parsers: each option shared by several commands is declared once
+    seeded = argparse.ArgumentParser(add_help=False)  # commands that draw random numbers
+    seeded.add_argument("--seed", type=int, default=0)
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--seed", type=int, default=None, help="override config seed")
+    probed = argparse.ArgumentParser(add_help=False)
+    probed.add_argument("--probe-epochs", type=int, default=trainer.PROBE_ITERS)
+
     p = _Parser(prog="fusekd", description="multi-teacher distillation engine")
     sub = p.add_subparsers(dest="command")
 
-    g = sub.add_parser("gen-data", help="write synthetic train/test dataset files")
+    def command(name, run, summary, *parents):
+        c = sub.add_parser(name, help=summary, parents=list(parents))
+        c.set_defaults(run=run)
+        return c
+
+    g = command("gen-data", _cmd_gen_data, "write synthetic train/test dataset files", seeded)
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--n-train", type=int, default=2048)
     g.add_argument("--n-test", type=int, default=512)
     g.add_argument("--image-size", type=int, default=16)
-    g.add_argument("--seed", type=int, default=0)
 
-    m = sub.add_parser("make-teachers", help="train and save the toy teacher bank")
+    m = command("make-teachers", _cmd_make_teachers, "train and save the toy teacher bank", seeded)
     m.add_argument("--data", required=True, help="dataset directory")
     m.add_argument("--out", required=True, help="output directory")
     m.add_argument("--epochs", type=int, default=40)
     m.add_argument("--embed-dim", type=int, default=32)
-    m.add_argument("--seed", type=int, default=0)
     m.add_argument(
         "--flavors",
         default=",".join(tch.FLAVORS),
         help="comma-separated subset of: " + ",".join(tch.FLAVORS),
     )
 
-    d = sub.add_parser("distill", help="run a distillation training job")
-    d.add_argument("--config", required=True)
-    d.add_argument("--seed", type=int, default=None, help="override config seed")
+    command("distill", _cmd_distill, "run a distillation training job", configured)
 
-    e = sub.add_parser("eval", help="linear-probe a student checkpoint")
+    e = command("eval", _cmd_eval, "linear-probe a student checkpoint", probed)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--probe-epochs", type=int, default=trainer.PROBE_ITERS)
-    e.add_argument("--seed", type=int, default=0)
 
-    st = sub.add_parser("sweep-teachers", help="teacher-combination ablation sweep")
-    st.add_argument("--config", required=True)
+    st = command(
+        "sweep-teachers", _cmd_sweep_teachers, "teacher-combination ablation sweep", configured, probed
+    )
     st.add_argument(
         "--subsets",
         default=None,
         help="semicolon-separated index tuples, e.g. '0;1;2;0,1;0,1,2' (default: all non-empty)",
     )
-    st.add_argument("--probe-epochs", type=int, default=trainer.PROBE_ITERS)
-    st.add_argument("--seed", type=int, default=None)
 
-    sl = sub.add_parser("sweep-losses", help="loss-mode ablation sweep")
-    sl.add_argument("--config", required=True)
-    sl.add_argument("--probe-epochs", type=int, default=trainer.PROBE_ITERS)
-    sl.add_argument("--seed", type=int, default=None)
-
-    gc = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    gc.add_argument("--tiny", action="store_true", help="tiny end-to-end config")
-    gc.add_argument("--seed", type=int, default=0)
-
-    ic = sub.add_parser("inspect-ckpt", help="summarize a checkpoint file")
-    ic.add_argument("path")
-    ic.add_argument("--seed", type=int, default=0)
+    command("sweep-losses", _cmd_sweep_losses, "loss-mode ablation sweep", configured, probed)
+    command("gradcheck", _cmd_gradcheck, "finite-difference gradient suites", seeded)
+    command("inspect-ckpt", _cmd_inspect, "summarize a checkpoint file").add_argument("path")
     return p
 
 
@@ -211,9 +211,7 @@ def _cmd_gradcheck(args) -> int:
         proj = adapter.project(enc.encode_batch(img))
         return fusion.mode_loss("tfd+sfd", proj, [t_tokens])[0]
 
-    params = enc.parameters() + adapter.parameters()
-    if args.tiny:
-        check("end-to-end-combined-loss", end_to_end, params)
+    check("end-to-end-combined-loss", end_to_end, enc.parameters() + adapter.parameters())
 
     failed = [name for name, rep in reports if not rep.passed]
     if failed:
@@ -242,18 +240,6 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "make-teachers": _cmd_make_teachers,
-    "distill": _cmd_distill,
-    "eval": _cmd_eval,
-    "sweep-teachers": _cmd_sweep_teachers,
-    "sweep-losses": _cmd_sweep_losses,
-    "gradcheck": _cmd_gradcheck,
-    "inspect-ckpt": _cmd_inspect,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -269,8 +255,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
-    except (ckpt.CheckpointError, dat.DatasetError, RuntimeError, ValueError, OSError) as exc:
+        return args.run(args)
+    except (
+        ckpt.CheckpointError, dat.DatasetError, RuntimeError, ValueError, OSError, MemoryError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

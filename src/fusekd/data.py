@@ -19,6 +19,7 @@ import numpy as np
 
 MAGIC = b"DMTD"
 VERSION = 1
+_HEADER = struct.Struct("<4sIIHH")  # magic, version, count, H, W
 NUM_CLASSES = 4
 
 
@@ -80,26 +81,25 @@ def write_dmtd(path: str | Path, dataset: Dataset) -> None:
     records["label"] = labels
     records["pixels"] = images.transpose(0, 2, 3, 1)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIHH", VERSION, n, h, w))
+        fh.write(_HEADER.pack(MAGIC, VERSION, n, h, w))
         fh.write(records.tobytes())
 
 
 def read_dmtd(path: str | Path) -> Dataset:
     raw = Path(path).read_bytes()
-    if len(raw) < 16:
+    if len(raw) < _HEADER.size:
         raise DatasetError(f"{path}: truncated header")
-    if raw[:4] != MAGIC:
-        raise DatasetError(f"{path}: bad magic {raw[:4]!r}")
-    version, count, h, w = struct.unpack("<IIHH", raw[4:16])
+    magic, version, count, h, w = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise DatasetError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise DatasetError(f"{path}: unsupported version {version}")
     rec = _record_dtype(h, w)
-    if len(raw) != 16 + count * rec.itemsize:
+    if len(raw) != _HEADER.size + count * rec.itemsize:
         raise DatasetError(
-            f"{path}: payload is {len(raw) - 16} bytes, expected {count * rec.itemsize}"
+            f"{path}: payload is {len(raw) - _HEADER.size} bytes, expected {count * rec.itemsize}"
         )
-    records = np.frombuffer(raw, dtype=rec, count=count, offset=16)
+    records = np.frombuffer(raw, dtype=rec, count=count, offset=_HEADER.size)
     return Dataset(
         images=np.ascontiguousarray(records["pixels"].transpose(0, 3, 1, 2)),
         labels=records["label"].copy(),

@@ -239,17 +239,17 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
     size = cfg.student.image_size
     if (h, w) != (size, size):
         raise ValueError(f"{cfg.dataset}: images are {h}x{w}, the student expects {size}x{size}")
-    out_dir = Path(cfg.out_dir)  # only once every input has loaded: a failed run leaves nothing
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     student = ViTEncoder(cfg.student, seed=derive_seed(cfg.seed, 1))
     adapter = Adapter.create(
         cfg.student.embed_dim, bank.config.embed_dim, seed=derive_seed(cfg.seed, 2)
     )
     params = student.parameters() + adapter.parameters()
     opt_state = optim.init_adamw(params)
-
     images = train_ds.float_images()
+    # only once every input has loaded and the run state exists: a failed run leaves nothing
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
     n = len(train_ds)
     steps_per_epoch = -(-n // cfg.batch_size)
     final_loss = None
@@ -350,6 +350,12 @@ def fit_linear_head(
     return float((pred == test_y.astype(int)).mean())
 
 
+def _check_probe_splits(train_ds: dat.Dataset, test_ds: dat.Dataset) -> None:
+    for split, ds in (("train", train_ds), ("test", test_ds)):
+        if len(ds) == 0:
+            raise ValueError(f"linear probe: the {split} split has no samples")
+
+
 def linear_probe(
     encoder: ViTEncoder,
     train_ds: dat.Dataset,
@@ -357,6 +363,7 @@ def linear_probe(
     probe_epochs: int = PROBE_ITERS,
 ) -> float:
     """Accuracy of a linear head on frozen class-token features."""
+    _check_probe_splits(train_ds, test_ds)
     train_x = class_token_features(encoder, train_ds.float_images())
     test_x = class_token_features(encoder, test_ds.float_images())
     k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
@@ -412,6 +419,7 @@ def _sweep(
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
     train_ds, test_ds = dat.load_splits(cfg.dataset)
+    _check_probe_splits(train_ds, test_ds)
     rows = []
     for label, overrides, _, note in runs:
         result = train(replace(cfg, **overrides))

@@ -287,6 +287,7 @@ class TestAlgebraicInvariants:
             f"max loss {worst_loss:.1e}, max drift {drift:.1e} over 10 steps",
         )
 
+    @pytest.mark.slow
     def test_teachers_hash_identical_across_training(self, ref_runs):
         ok = ref_runs["bank_digest_unchanged"]
         assert report("invariant-teacher-freezing", ok, "sha256 of all weights unchanged")
@@ -314,6 +315,7 @@ class TestParamCountLabels:
 
 
 class TestDeterminism:
+    @pytest.mark.slow
     def test_two_cli_distill_runs_byte_identical(self, ref_runs, ref_data_dir, teacher_paths, work_dir):
         # the first run is ref_runs' seed 0: same command, config file and out_dir
         first_ckpt, first_metrics = ref_runs["seed0_cli_bytes"]
@@ -330,6 +332,7 @@ class TestDeterminism:
 
 
 class TestToyDistillationRegression:
+    @pytest.mark.slow
     def test_loss_halves_and_probe_beats_random_init(self, ref_runs):
         runs = ref_runs["runs"]
         halved = all(r["final_loss"] < 0.5 * r["epoch1_loss"] for r in runs.values())
@@ -366,6 +369,7 @@ def sweep_config(ref_data_dir, teacher_paths, work_dir):
 
 
 class TestAblationHarnessEcho:
+    @pytest.mark.slow
     def test_teacher_combination_sweep_table(self, sweep_config):
         subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
         table = trainer.sweep_teacher_combinations(sweep_config, subsets, probe_epochs=100)
@@ -384,6 +388,7 @@ class TestAblationHarnessEcho:
             f"{len(table.rows)} rows; all-teachers delta {full_row.delta_pp:+.1f}pp vs best single",
         )
 
+    @pytest.mark.slow
     def test_loss_mode_sweep_table(self, sweep_config):
         cfg = replace(sweep_config, out_dir=str(Path(sweep_config.out_dir) / "losses"))
         table = trainer.sweep_loss_modes(cfg, probe_epochs=100)

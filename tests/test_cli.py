@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and command behaviour on a micro setup."""
 
+import argparse
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from fusekd import data as dat
 from fusekd import teachers as tch
 from fusekd.augment import AugmentConfig
 from fusekd.checkpoint import save_checkpoint
-from fusekd.cli import main
+from fusekd.cli import _build_parser, main
 from fusekd.config import ScheduleSettings, TrainConfig, serialize_config
 from fusekd.vit import ViTConfig, ViTEncoder, param_count
 
@@ -69,14 +70,58 @@ class TestDispatch:
         assert main(["--help"]) == 0
 
 
+# every subcommand's option strings (positionals by dest), "-h/--help" left out
+OPTIONS = {
+    "gen-data": {"--seed", "--out", "--n-train", "--n-test", "--image-size"},
+    "make-teachers": {"--seed", "--data", "--out", "--epochs", "--embed-dim", "--flavors"},
+    "distill": {"--config", "--seed"},
+    "eval": {"--probe-epochs", "--ckpt", "--data"},
+    "sweep-teachers": {"--config", "--seed", "--probe-epochs", "--subsets"},
+    "sweep-losses": {"--config", "--seed", "--probe-epochs"},
+    "gradcheck": {"--seed"},
+    "inspect-ckpt": {"path"},
+}
+
+
+def test_each_command_declares_exactly_its_options():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {s for a in cmd._actions for s in (a.option_strings or [a.dest])} - {"-h", "--help"}
+        for name, cmd in sub.choices.items()
+    }
+    assert found == OPTIONS
+    seeded = {name for name, opts in found.items() if "--seed" in opts}
+    assert seeded == {"gen-data", "make-teachers", "distill", "sweep-teachers", "sweep-losses", "gradcheck"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--tiny"],
+        ["eval", "--ckpt", "x.dmtc", "--data", "d", "--seed", "0"],
+        ["inspect-ckpt", "x.dmtc", "--seed", "0"],
+    ],
+    ids=["gradcheck-tiny", "eval-seed", "inspect-seed"],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and "unrecognized arguments" in err
+
+
+def _set_key(cfg_path, key, value):
+    """Rewrite the ``key=`` line of a config file in place."""
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in cfg_path.read_text().splitlines()]
+    cfg_path.write_text("\n".join(lines) + "\n")
+
+
 def _config_with_out_dir(cfg_path, out, tmp_path):
     """Copy of the ``cli_env`` config that writes to ``out``."""
-    lines = [
-        f"out_dir={out}" if line.startswith("out_dir=") else line
-        for line in cfg_path.read_text().splitlines()
-    ]
     p = tmp_path / "out.cfg"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text(cfg_path.read_text())
+    _set_key(p, "out_dir", out)
     return p
 
 
@@ -100,12 +145,57 @@ def test_zero_student_size_exit_2_and_nothing_created(cli_env, tmp_path, capsys,
     root, cfg_path = cli_env
     out = tmp_path / "out"
     p = _config_with_out_dir(cfg_path, out, tmp_path)
-    lines = [f"student.{key}=0" if line.startswith(f"student.{key}=") else line
-             for line in p.read_text().splitlines()]
-    p.write_text("\n".join(lines) + "\n")
+    _set_key(p, f"student.{key}", 0)
     assert main(["distill", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unallocatable_student_exit_2_and_nothing_created(cli_env, tmp_path, capsys):
+    # numpy refuses a 10**12-wide patch embedding at once; a smaller width could really allocate
+    root, cfg_path = cli_env
+    out = tmp_path / "out"
+    p = _config_with_out_dir(cfg_path, out, tmp_path)
+    _set_key(p, "student.embed_dim", 10**12)
+    assert main(["distill", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture
+def empty_test_split(cli_env, tmp_path):
+    """Data directory with cli_env's training split and a test split of 0 records."""
+    root, _ = cli_env
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.dmtd").write_bytes((root / "data" / "train.dmtd").read_bytes())
+    empty = dat.Dataset(np.zeros((0, 3, 16, 16), np.uint8), np.zeros(0, np.uint8))
+    dat.write_dmtd(data / "test.dmtd", empty)
+    return data
+
+
+def test_eval_empty_test_split_exit_2(cli_env, empty_test_split, capsys):
+    root, cfg_path = cli_env
+    assert main(["distill", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--ckpt", str(root / "run" / "student_final.dmtc"),
+                 "--data", str(empty_test_split), "--probe-epochs", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "probe_accuracy" not in captured.out
+    assert "error:" in captured.err and "test split" in captured.err and "Traceback" not in captured.err
+
+
+def test_sweep_empty_test_split_exit_2_before_any_run(cli_env, empty_test_split, tmp_path, capsys):
+    _, cfg_path = cli_env
+    out = tmp_path / "sl"
+    p = _config_with_out_dir(cfg_path, out, tmp_path)
+    _set_key(p, "dataset", empty_test_split)
+    assert main(["sweep-losses", "--config", str(p), "--probe-epochs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "test split" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -113,9 +203,7 @@ def test_nan_learning_rate_exit_2_and_nothing_created(cli_env, tmp_path, capsys)
     root, cfg_path = cli_env
     out = tmp_path / "out"
     p = _config_with_out_dir(cfg_path, out, tmp_path)
-    lines = ["schedule.base_lr=nan" if line.startswith("schedule.base_lr=") else line
-             for line in p.read_text().splitlines()]
-    p.write_text("\n".join(lines) + "\n")
+    _set_key(p, "schedule.base_lr", "nan")
     assert main(["distill", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "schedule.base_lr must be finite" in err and "Traceback" not in err
@@ -246,7 +334,7 @@ class TestSweepLosses:
 
 class TestGradcheckCommand:
     def test_tiny_suite_passes(self, capsys):
-        assert main(["gradcheck", "--tiny"]) == 0
+        assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "end-to-end-combined-loss" in out
         assert "max_rel_err" in out

@@ -515,6 +515,13 @@ class TestLinearProbe:
         for n, t in enc.named_tensors():
             np.testing.assert_array_equal(t.array, before[n])
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_rejected_naming_it(self, micro_data, split):
+        splits = dict(zip(("train", "test"), dat.load_splits(micro_data)))
+        splits[split] = dat.Dataset(splits[split].images[:0], splits[split].labels[:0])
+        with pytest.raises(ValueError, match=f"the {split} split has no samples"):
+            linear_probe(ViTEncoder(STUDENT_CFG, seed=5), splits["train"], splits["test"])
+
 
 class TestSweeps:
     def test_teacher_sweep_table_shape(self, micro_bank, micro_data, tmp_path):
