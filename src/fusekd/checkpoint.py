@@ -7,8 +7,13 @@ list of {name, shape, dtype: "f64", offset}; offsets are relative to the
 start of the payload section, and "f64" is the only dtype. Round trips are
 bit-exact. Names are unique, shapes and offsets are JSON integers, and the
 payloads lie back to back in table order: each tensor starts where the one
-before it ends, and the last one ends the file. A save replaces the
-target atomically: a crash mid-write leaves the previous file.
+before it ends, and the last one ends the file.
+
+``write_atomic`` is fusekd's one file writer: checkpoints, datasets,
+``metrics.ndjson`` and sweep tables all go through it. It creates the
+parent directory, writes a temporary file beside the target, fsyncs it and
+renames it over the target, so a crash or an error mid-write leaves the
+previous file whole; an error also removes the temporary file.
 """
 
 from __future__ import annotations
@@ -48,17 +53,34 @@ class MetadataError(CheckpointError):
     pass
 
 
+def write_atomic(path: str | Path, chunks: list[bytes]) -> None:
+    """Replace ``path`` with the concatenated byte ``chunks``, whole or not at all."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(
     path: str | Path,
     tensors: dict[str, np.ndarray],
     meta: dict | None = None,
 ) -> None:
-    """Write every tensor as little-endian f64."""
+    """Write every tensor as little-endian f64, 0-d tensors included."""
     entries = []
     blobs = []
     offset = 0
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(np.asarray(arr), dtype=_F64)
+        a = np.asarray(arr, dtype=_F64, order="C")
         blob = a.tobytes()
         entries.append(
             {"name": name, "shape": list(a.shape), "dtype": "f64", "offset": offset}
@@ -71,20 +93,7 @@ def save_checkpoint(
         "tensors": entries,
     }
     md = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, len(md)))
-            fh.write(md)
-            for blob in blobs:
-                fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, [_HEADER.pack(MAGIC, VERSION, len(md)), md, *blobs])
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -117,7 +117,6 @@ def _cmd_make_teachers(args) -> int:
     images = train_ds.float_images()
     cfg = replace(cfg, image_size=train_ds.images.shape[-1])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for flavor in flavors:
         enc = tch.make_toy_teacher(
             args.seed, flavor, images=images, config=cfg, epochs=args.epochs
@@ -178,8 +177,7 @@ def _report_sweep(table: trainer.SweepTable, out: Path) -> int:
     """Print the rendered table and write it, newline-terminated, to ``out``."""
     text = table.render()
     print(text)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text + "\n")
+    ckpt.write_atomic(out, [(text + "\n").encode()])
     return 0
 
 

@@ -6,7 +6,8 @@ degrees, with per-sample phase, per-channel color scaling and pixel noise.
 File layout (all integers little-endian):
   magic "DMTD" | u32 version=1 | u32 count | u16 H | u16 W
   then per record: u8 label, H*W*3 bytes of interleaved 8-bit RGB.
-Pixels map to [0, 1] via /255.
+Pixels map to [0, 1] via /255. A file is written whole and atomically
+(``checkpoint.write_atomic``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .checkpoint import write_atomic
 
 MAGIC = b"DMTD"
 VERSION = 1
@@ -80,9 +83,7 @@ def write_dmtd(path: str | Path, dataset: Dataset) -> None:
     records = np.empty(n, dtype=_record_dtype(h, w))
     records["label"] = labels
     records["pixels"] = images.transpose(0, 2, 3, 1)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, n, h, w))
-        fh.write(records.tobytes())
+    write_atomic(path, [_HEADER.pack(MAGIC, VERSION, n, h, w), records.tobytes()])
 
 
 def read_dmtd(path: str | Path) -> Dataset:
@@ -115,7 +116,6 @@ def gen_data(out_dir: str | Path, n_train: int, n_test: int, seed: int, image_si
     if image_size < 1:
         raise ValueError(f"image_size must be >= 1, got {image_size}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     full = generate(n_train + n_test, seed, image_size)
     train = Dataset(images=full.images[:n_train], labels=full.labels[:n_train])
     test = Dataset(images=full.images[n_train:], labels=full.labels[n_train:])

@@ -25,7 +25,7 @@ from . import tensor as T
 from .config import TrainConfig, parse_config, serialize_config
 from .fusion import Adapter
 from .teachers import TeacherBank, load_bank
-from .tensor import GradTape, Tensor
+from .tensor import GradTape
 from .vit import ViTEncoder
 
 _MASK63 = (1 << 63) - 1
@@ -134,20 +134,15 @@ def distill_step(
     )
 
 
-def _named_params(student: ViTEncoder, adapter: Adapter) -> list[tuple[str, Tensor]]:
-    """Every trained tensor in AdamW order, named as its moments are saved (``opt.m.<name>``)."""
-    return student.named_tensors() + [(t.name, t) for t in adapter.parameters()]
-
-
 def _train_tensors(
     student: ViTEncoder, adapter: Adapter, opt_state: optim.AdamWState
 ) -> dict[str, np.ndarray]:
     """Every tensor of a training checkpoint, in file order."""
     tensors = {f"student.{n}": t.array for n, t in student.named_tensors()}
     tensors.update((t.name, t.array) for t in adapter.parameters())
-    for (name, _), m, v in zip(_named_params(student, adapter), opt_state.m, opt_state.v):
-        tensors[f"opt.m.{name}"] = m
-        tensors[f"opt.v.{name}"] = v
+    for t, m, v in zip(student.parameters() + adapter.parameters(), opt_state.m, opt_state.v):
+        tensors[f"opt.m.{t.name}"] = m
+        tensors[f"opt.v.{t.name}"] = v
     return tensors
 
 
@@ -173,13 +168,13 @@ def load_train_checkpoint(path: str | Path):
     """Returns (config, student, adapter, opt_state, step).
 
     Besides the format checks of ``load_checkpoint``, the state a resume
-    reads must be sound: the adapter maps the student width to some width D
-    (``(D', D)`` weight, ``(D,)`` bias), every AdamW moment is finite with
-    its parameter's shape and ``v >= 0``, and ``step`` and ``opt_t`` are
-    non-negative integers. The student's tensors are exactly its config's
-    ``param_table``, checked before anything is allocated, and the file holds
-    no tensor that ``save_train_checkpoint`` would not write. Anything else
-    raises ``MetadataError``.
+    reads must be sound: the student's tensors are exactly its config's
+    ``param_table``, checked before anything is allocated; the adapter maps
+    the student width to some width D (``(D', D)`` weight, ``(D,)`` bias);
+    every tensor in the file has a name and shape from the table that
+    ``save_train_checkpoint`` writes (``_train_tensors``), every AdamW moment
+    is there, finite and with ``v >= 0``; and ``step`` and ``opt_t`` are
+    non-negative integers. Anything else raises ``MetadataError``.
     """
     tensors, meta = ckpt.load_checkpoint(path)
     if meta.get("kind") != "train_state":
@@ -201,31 +196,24 @@ def load_train_checkpoint(path: str | Path):
                 f"are not ({width}, D) and (D,)"
             )
         adapter = Adapter.from_arrays(w, b)
-        named = _named_params(student, adapter)
-        opt_state = optim.init_adamw([t for _, t in named])
-        opt_state.m = [tensors[f"opt.m.{n}"] for n, _ in named]
-        opt_state.v = [tensors[f"opt.v.{n}"] for n, _ in named]
-        for (n, t), m, v in zip(named, opt_state.m, opt_state.v):
-            if m.shape != t.shape or v.shape != t.shape:
-                raise ckpt.MetadataError(
-                    f"{path}: moments of {n} are {m.shape} and {v.shape}, not {t.shape}"
-                )
+        params = student.parameters() + adapter.parameters()
+        opt_state = optim.init_adamw(params)
+        table = _train_tensors(student, adapter, opt_state)
+        for name, a in tensors.items():
+            if name not in table or a.shape != table[name].shape:
+                raise ckpt.MetadataError(f"{path}: unexpected tensor {name!r} of shape {a.shape}")
+        opt_state.m = [tensors[f"opt.m.{t.name}"] for t in params]
+        opt_state.v = [tensors[f"opt.v.{t.name}"] for t in params]
+        for t, m, v in zip(params, opt_state.m, opt_state.v):
             if not (np.isfinite(m).all() and np.isfinite(v).all() and (v >= 0).all()):
-                raise ckpt.MetadataError(f"{path}: moments of {n} must be finite, with opt.v >= 0")
-        known = _train_tensors(student, adapter, opt_state)
-        for name in tensors:
-            if name not in known:
-                raise ckpt.MetadataError(f"{path}: unexpected tensor {name!r}")
+                raise ckpt.MetadataError(f"{path}: moments of {t.name} must be finite, with opt.v >= 0")
         opt_state.t = meta["opt_t"]
         return cfg, student, adapter, opt_state, meta["step"]
 
 
 def train(cfg: TrainConfig, log=None) -> TrainResult:
     """Full distillation run; deterministic given cfg.seed (single-threaded)."""
-    try:
-        train_ds, _ = dat.load_splits(cfg.dataset)
-    except (OSError, dat.DatasetError) as exc:
-        raise RuntimeError(f"cannot load dataset from {cfg.dataset!r}: {exc}") from exc
+    train_ds, _ = dat.load_splits(cfg.dataset)
     bank = load_bank(list(cfg.teacher_paths))
     tcfg = bank.config
     if (cfg.student.image_size, cfg.student.patch_size) != (
@@ -248,52 +236,53 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
     images = train_ds.float_images()
     # only once every input has loaded and the run state exists: a failed run leaves nothing
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path = out_dir / "metrics.ndjson"
+    ckpt.write_atomic(metrics_path, [])
 
     n = len(train_ds)
     steps_per_epoch = -(-n // cfg.batch_size)
     final_loss = None
-    metrics_path = out_dir / "metrics.ndjson"
+    metrics = ""  # one JSON line per finished epoch
     final_path = out_dir / "student_final.dmtc"
 
     global_step = 0
-    with open(metrics_path, "w") as metrics_fh:
-        for epoch in range(cfg.epochs):
-            t0 = time.perf_counter()
-            order = np.random.default_rng(derive_seed(cfg.seed, 3, epoch)).permutation(n)
-            epoch_base = derive_seed(cfg.seed, 4, epoch)
-            sums = np.zeros(3)
-            lr_epoch = optim.lr_at(global_step, cfg.schedule, cfg.epochs, steps_per_epoch)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                seeds = [sample_seed(epoch_base, int(i)) for i in idx]
-                lr = optim.lr_at(global_step, cfg.schedule, cfg.epochs, steps_per_epoch)
-                losses = distill_step(
-                    images[idx], seeds, cfg.augment, bank, student, adapter,
-                    opt_state, lr, cfg.loss_mode,
-                )
-                sums += (losses.total, losses.token, losses.spatial)
-                global_step += 1
-            em = EpochMetrics(
-                epoch=epoch,
-                loss_total=sums[0] / steps_per_epoch,
-                loss_token=sums[1] / steps_per_epoch,
-                loss_spatial=sums[2] / steps_per_epoch,
-                lr=lr_epoch,
+    for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
+        order = np.random.default_rng(derive_seed(cfg.seed, 3, epoch)).permutation(n)
+        epoch_base = derive_seed(cfg.seed, 4, epoch)
+        sums = np.zeros(3)
+        lr_epoch = optim.lr_at(global_step, cfg.schedule, cfg.epochs, steps_per_epoch)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            seeds = [sample_seed(epoch_base, int(i)) for i in idx]
+            lr = optim.lr_at(global_step, cfg.schedule, cfg.epochs, steps_per_epoch)
+            losses = distill_step(
+                images[idx], seeds, cfg.augment, bank, student, adapter,
+                opt_state, lr, cfg.loss_mode,
             )
-            final_loss = em.loss_total
-            metrics_fh.write(json.dumps(asdict(em), sort_keys=True) + "\n")
-            if log:
-                log(
-                    f"epoch {epoch + 1}/{cfg.epochs} loss={em.loss_total:.6f} "
-                    f"(token={em.loss_token:.6f} spatial={em.loss_spatial:.6f}) "
-                    f"lr={em.lr:.2e} {time.perf_counter() - t0:.1f}s"
-                )
-            if cfg.save_interval and (epoch + 1) % cfg.save_interval == 0 and epoch + 1 < cfg.epochs:
-                save_train_checkpoint(
-                    out_dir / f"ckpt_ep{epoch + 1:04d}.dmtc",
-                    cfg, student, adapter, opt_state, step=global_step,
-                )
+            sums += (losses.total, losses.token, losses.spatial)
+            global_step += 1
+        em = EpochMetrics(
+            epoch=epoch,
+            loss_total=sums[0] / steps_per_epoch,
+            loss_token=sums[1] / steps_per_epoch,
+            loss_spatial=sums[2] / steps_per_epoch,
+            lr=lr_epoch,
+        )
+        final_loss = em.loss_total
+        metrics += json.dumps(asdict(em), sort_keys=True) + "\n"
+        ckpt.write_atomic(metrics_path, [metrics.encode()])
+        if log:
+            log(
+                f"epoch {epoch + 1}/{cfg.epochs} loss={em.loss_total:.6f} "
+                f"(token={em.loss_token:.6f} spatial={em.loss_spatial:.6f}) "
+                f"lr={em.lr:.2e} {time.perf_counter() - t0:.1f}s"
+            )
+        if cfg.save_interval and (epoch + 1) % cfg.save_interval == 0 and epoch + 1 < cfg.epochs:
+            save_train_checkpoint(
+                out_dir / f"ckpt_ep{epoch + 1:04d}.dmtc",
+                cfg, student, adapter, opt_state, step=global_step,
+            )
     save_train_checkpoint(final_path, cfg, student, adapter, opt_state, step=global_step)
     return TrainResult(final_path, metrics_path, final_loss)
 

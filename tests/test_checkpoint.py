@@ -1,14 +1,18 @@
-"""DMTC checkpoint container: layout, round trips, and failure modes."""
+"""DMTC checkpoint container: layout, round trips, failure modes, and the one file writer."""
 
+import ast
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fusekd import checkpoint as ckpt
-from fusekd.cli import main
+from fusekd import data as dat
+from fusekd.cli import _report_sweep, main
+from fusekd.trainer import SweepRow, SweepTable
 
 
 def sample_tensors(rng):
@@ -17,6 +21,14 @@ def sample_tensors(rng):
         "b": rng.normal(size=(4,)),
         "scalarish": rng.normal(size=(1,)),
     }
+
+
+# every kind of file fusekd writes, as (path, version) -> a write whose bytes depend on version
+WRITERS = {
+    "dmtc": lambda path, v: ckpt.save_checkpoint(path, {"w": np.full(3, v)}, meta={"v": v}),
+    "dmtd": lambda path, v: dat.write_dmtd(path, dat.generate(v, seed=0, image_size=4)),
+    "txt": lambda path, v: _report_sweep(SweepTable(f"sweep {v}", [SweepRow("a", 0.5, 0.25)]), path),
+}
 
 
 def _entry(name, shape, offset):
@@ -42,6 +54,16 @@ class TestRoundTrip:
         ckpt.save_checkpoint(p1, tensors, meta={"k": 1})
         back, meta = ckpt.load_checkpoint(p1)
         ckpt.save_checkpoint(p2, back, meta=meta)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_zero_d_tensors_keep_their_shape(self, tmp_path):
+        tensors = {"s": np.float64(2.5), "z": np.zeros(()), "v": np.arange(2.0)}
+        p1, p2 = tmp_path / "a.dmtc", tmp_path / "b.dmtc"
+        ckpt.save_checkpoint(p1, tensors)
+        back, _ = ckpt.load_checkpoint(p1)
+        assert [a.shape for a in back.values()] == [(), (), (2,)]
+        assert back["s"] == 2.5 and back["z"] == 0.0
+        ckpt.save_checkpoint(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_layout(self, tmp_path, rng):
@@ -160,9 +182,10 @@ class TestFailureModes:
         tensors, _ = ckpt.load_checkpoint(p)
         assert [t.shape for t in tensors.values()] == [(0,), (1,), (0, 3)]
 
-    def test_failed_overwrite_keeps_old_bytes_and_no_temp_file(self, tmp_path, rng, monkeypatch):
-        p = tmp_path / "x.dmtc"
-        ckpt.save_checkpoint(p, sample_tensors(rng), meta={"v": 1})
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+    def test_failed_overwrite_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, write):
+        p = tmp_path / "x"
+        write(p, 1)
         old = p.read_bytes()
 
         def failing_fsync(fd):
@@ -170,9 +193,9 @@ class TestFailureModes:
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
-            ckpt.save_checkpoint(p, sample_tensors(rng), meta={"v": 2})
+            write(p, 2)
         assert p.read_bytes() == old
-        assert [q.name for q in tmp_path.iterdir()] == ["x.dmtc"]
+        assert [q.name for q in tmp_path.iterdir()] == ["x"]
 
     def test_errors_are_distinct_types(self):
         assert issubclass(ckpt.BadMagicError, ckpt.CheckpointError)
@@ -191,3 +214,30 @@ class TestDescribe:
         rows = [line.split() for line in lines[3:-1]]
         assert [r[0] for r in rows] == ["w", "b", "scalarish"]
         assert all(r[2] == "f64" for r in rows)
+
+    def test_zero_d_tensor_prints_as_scalar(self, tmp_path, capsys):
+        p = tmp_path / "x.dmtc"
+        ckpt.save_checkpoint(p, {"s": np.float64(2.5)})
+        assert main(["inspect-ckpt", str(p)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == ["s", "scalar", "f64", "1"]  # after the version and column lines
+
+
+def test_write_atomic_is_the_only_writer():
+    """No fusekd module opens a file, writes one or makes a directory except
+    through ``checkpoint.write_atomic``, so every file is written whole."""
+    writes = {"open", "write_text", "write_bytes", "mkdir", "makedirs"}
+    found = []
+    for path in sorted(Path(ckpt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("checkpoint.py", "write_atomic"):
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in writes:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"file writes outside checkpoint.write_atomic: {found}"

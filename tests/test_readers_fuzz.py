@@ -139,12 +139,15 @@ def test_malformed_files_raise_only_typed_errors(tmp_path):
     rng = np.random.default_rng(0)
     teacher = _teacher_file(tmp_path / "teacher.dmtc")
     train = _train_file(tmp_path / "train.dmtc")
+    ckpt.save_checkpoint(tmp_path / "scalar.dmtc", {"s": np.float64(2.5)})
+    scalar = (tmp_path / "scalar.dmtc").read_bytes()
     ds = dat.generate(2, seed=0, image_size=4)
     dat.write_dmtd(tmp_path / "d.dmtd", ds)
     dmtd = (tmp_path / "d.dmtd").read_bytes()
     deep = b"[" * DEPTH + b"]" * DEPTH
     cases = [
         ("load_checkpoint", ckpt.load_checkpoint, teacher, True),
+        ("load_checkpoint 0-d", ckpt.load_checkpoint, scalar, True),
         ("load_teacher", tch.load_teacher, teacher, True),
         ("load_train_checkpoint", trainer.load_train_checkpoint, train, True),
         ("read_dmtd", dat.read_dmtd, dmtd, False),

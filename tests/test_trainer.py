@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +37,26 @@ from fusekd.vit import ViTConfig, ViTEncoder
 TEACHER_CFG = ViTConfig(16, 4, 2, 32, 2)
 STUDENT_CFG = ViTConfig(16, 4, 2, 16, 2)
 NO_JITTER = AugmentConfig(brightness=0.0, contrast=0.0, saturation=0.0)
+
+# train(config) in a fresh interpreter that calls os._exit(3), skipping every
+# handler and buffer flush as a kill would, just before optimizer step
+# argv[2] (1-based; 0 never exits)
+EXIT_AT_STEP = """
+import os, sys
+from fusekd import config, trainer
+
+step, calls = trainer.distill_step, 0
+
+def exiting_step(*args, **kwargs):
+    global calls
+    calls += 1
+    if calls == int(sys.argv[2]):
+        os._exit(3)
+    return step(*args, **kwargs)
+
+trainer.distill_step = exiting_step
+trainer.train(config.load_config(sys.argv[1]))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -340,8 +363,19 @@ class TestTrain:
 
     def test_missing_dataset_fails_with_path(self, micro_bank, tmp_path):
         cfg = micro_config(micro_bank, tmp_path / "nope", tmp_path / "run")
-        with pytest.raises(RuntimeError, match="nope"):
+        with pytest.raises(OSError, match="nope"):
             train(cfg)
+
+    def test_truncated_dataset_raises_dataset_error(self, micro_bank, micro_data, tmp_path):
+        data_dir = tmp_path / "cut"
+        data_dir.mkdir()
+        raw = (micro_data / "train.dmtd").read_bytes()
+        (data_dir / "train.dmtd").write_bytes(raw[:-7])
+        (data_dir / "test.dmtd").write_bytes((micro_data / "test.dmtd").read_bytes())
+        out = tmp_path / "run"
+        with pytest.raises(dat.DatasetError, match="train.dmtd"):
+            train(micro_config(micro_bank, data_dir, out))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "case",
@@ -384,6 +418,35 @@ class TestTrain:
         train(cfg)
         assert (tmp_path / "run" / "ckpt_ep0002.dmtc").exists()
         assert (tmp_path / "run" / "student_final.dmtc").exists()
+
+    def test_hard_exit_leaves_exactly_the_finished_epochs(self, micro_bank, micro_data, tmp_path):
+        """A process that dies at the first step of epoch 5 of 8, without
+        unwinding, leaves the first 4 metrics lines and checkpoints of a clean
+        run, byte for byte, and no temporary file."""
+        cfg = micro_config(micro_bank, micro_data, "run", epochs=8, save_interval=2)
+        src = str(Path(trainer.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def run(side, exit_at, returncode):
+            cwd = tmp_path / side
+            cwd.mkdir()
+            (cwd / "run.cfg").write_text(serialize_config(cfg))
+            proc = subprocess.run(
+                [sys.executable, "-c", EXIT_AT_STEP, "run.cfg", str(exit_at)],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == returncode, proc.stderr
+            return cwd / "run"
+
+        clean = run("clean", 0, 0)
+        killed = run("killed", 4 * 2 + 1, 3)  # 2 steps per epoch
+        lines = (clean / "metrics.ndjson").read_bytes().splitlines(keepends=True)
+        assert len(lines) == 8
+        assert (killed / "metrics.ndjson").read_bytes() == b"".join(lines[:4])
+        kept = ["ckpt_ep0002.dmtc", "ckpt_ep0004.dmtc"]
+        assert sorted(q.name for q in killed.iterdir()) == kept + ["metrics.ndjson"]
+        for name in kept:
+            assert (killed / name).read_bytes() == (clean / name).read_bytes()
 
 
 class TestTrainStateIO:
