@@ -114,8 +114,11 @@ def _cmd_make_teachers(args) -> int:
     train_ds, _ = dat.load_splits(args.data)
     if len(train_ds) == 0:
         raise ValueError(f"{args.data}: the training split has no samples")
+    h, w = train_ds.images.shape[-2:]
+    if h != w:
+        raise ValueError(f"{args.data}: images are {h}x{w}, teachers need square images")
     images = train_ds.float_images()
-    cfg = replace(cfg, image_size=train_ds.images.shape[-1])
+    cfg = replace(cfg, image_size=w)
     out = Path(args.out)
     for flavor in flavors:
         enc = tch.make_toy_teacher(

@@ -47,23 +47,17 @@ def fuse_tokens(teacher_tokens: list[np.ndarray]) -> np.ndarray:
 
 
 def tokens_to_feature_map(tokens: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
+    """``student_feature_map`` of a plain array, off the tape; read-only."""
+    with T.no_tape():
+        return student_feature_map(Tensor(tokens), grid_h, grid_w).array
+
+
+def student_feature_map(tokens: Tensor, grid_h: int, grid_w: int) -> Tensor:
     """(..., N+1, D) -> (..., D, H', W'), class token dropped.
 
     Cell (c, r, w) of the map reads token 1 + r*W' + w, channel c, matching
     the row-major grid order of ``patchify``.
     """
-    arr = np.asarray(tokens, dtype=np.float64)
-    n = arr.shape[-2] - 1
-    if grid_h * grid_w != n:
-        raise ValueError(f"grid {grid_h}x{grid_w} != {n} patch tokens")
-    d = arr.shape[-1]
-    lead = arr.shape[:-2]
-    x = arr[..., 1:, :].reshape(lead + (grid_h, grid_w, d))
-    return np.ascontiguousarray(np.moveaxis(x, -1, -3))
-
-
-def student_feature_map(tokens: Tensor, grid_h: int, grid_w: int) -> Tensor:
-    """Tape-aware version of ``tokens_to_feature_map`` for the student."""
     n = tokens.shape[-2] - 1
     if grid_h * grid_w != n:
         raise ValueError(f"grid {grid_h}x{grid_w} != {n} patch tokens")

@@ -8,7 +8,9 @@ order; ``GradTape.gradients`` replays the records in reverse.
 
 Tensors are immutable once constructed (arrays are flagged read-only);
 parameters are updated only through ``Tensor.assign``, which rebinds the
-backing array rather than writing through views.
+backing array rather than writing through views. So an output may be a view
+sharing its input's read-only memory, and ``Tensor._wrap``, the one place a
+forward value is copied for layout, makes every array C-contiguous.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path: takes ownership of a fresh, finite f64 array.
+        # Internal fast path: a finite f64 array, or a view of a read-only one,
+        # copied only if it is not C-contiguous.
         self = object.__new__(cls)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
@@ -331,7 +334,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g):
         return (g.reshape(a.shape),)
 
-    return _emit(a.array.reshape(shape).copy(), (a,), backward)
+    return _emit(a.array.reshape(shape), (a,), backward)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -340,7 +343,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     def backward(g):
         return (np.ascontiguousarray(g.transpose(inv)),)
 
-    return _emit(np.ascontiguousarray(a.array.transpose(axes)), (a,), backward)
+    return _emit(a.array.transpose(axes), (a,), backward)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -353,7 +356,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _emit(a.array[idx].copy(), (a,), backward)
+    return _emit(a.array[idx], (a,), backward)
 
 
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -427,19 +430,21 @@ def run_grad_check(
     for p, a_grad in zip(params, analytic):
         base = p.array.copy()
         worst = 0.0
-        for i in range(base.size):
-            bumped = base.copy()
-            bumped.flat[i] = base.flat[i] + GRAD_CHECK_STEP
-            p.assign(bumped)
-            f_plus = computation().item()
-            bumped.flat[i] = base.flat[i] - GRAD_CHECK_STEP
-            p.assign(bumped)
-            f_minus = computation().item()
-            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
-            a = float(a_grad.flat[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
-            worst = max(worst, rel)
-        p.assign(base)
+        try:
+            for i in range(base.size):
+                bumped = base.copy()
+                bumped.flat[i] = base.flat[i] + GRAD_CHECK_STEP
+                p.assign(bumped)
+                f_plus = computation().item()
+                bumped.flat[i] = base.flat[i] - GRAD_CHECK_STEP
+                p.assign(bumped)
+                f_minus = computation().item()
+                numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
+                a = float(a_grad.flat[i])
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
+                worst = max(worst, rel)
+        finally:  # a failing computation must not leave p perturbed
+            p.assign(base)
         report.entries.append(GradCheckEntry(p.name or "param", worst))
         report.max_rel_error = max(report.max_rel_error, worst)
     return report

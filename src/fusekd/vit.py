@@ -205,20 +205,15 @@ class ViTEncoder:
         for blk in self.blocks:
             h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"], LN_EPS)
             qkv = T.linear(h, blk["qkv_w"], blk["qkv_b"])  # (B, T, 3D)
-            q = self._split_heads(T.slice_axis(qkv, 2, 0, d), b, t_len, heads, dh)
-            k = self._split_heads(T.slice_axis(qkv, 2, d, 2 * d), b, t_len, heads, dh)
-            v = self._split_heads(T.slice_axis(qkv, 2, 2 * d, 3 * d), b, t_len, heads, dh)
-            scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-            attn = T.softmax(scores)  # (B, heads, T, T)
-            ctx = T.matmul(attn, v)  # (B, heads, T, dh)
-            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t_len, d))
+            qkv = T.transpose(T.reshape(qkv, (b, t_len, 3, heads, dh)), (2, 0, 3, 1, 4))
+            q, k, v = (T.slice_axis(qkv, 0, i, i + 1) for i in range(3))  # (1, B, heads, T, dh)
+            scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(dh))
+            attn = T.softmax(scores)  # (1, B, heads, T, T)
+            ctx = T.matmul(attn, v)  # (1, B, heads, T, dh)
+            ctx = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, t_len, d))
             x = T.add(x, T.linear(ctx, blk["proj_w"], blk["proj_b"]))
             h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"], LN_EPS)
             m = T.gelu(T.linear(h2, blk["fc1_w"], blk["fc1_b"]))
             m = T.linear(m, blk["fc2_w"], blk["fc2_b"])
             x = T.add(x, m)
         return T.layer_norm(x, self.ln_f_g, self.ln_f_b, LN_EPS)
-
-    @staticmethod
-    def _split_heads(t: Tensor, b: int, t_len: int, heads: int, dh: int) -> Tensor:
-        return T.transpose(T.reshape(t, (b, t_len, heads, dh)), (0, 2, 1, 3))

@@ -444,6 +444,24 @@ class TestMakeTeachers:
         assert "no samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flavor", ["masked-reconstruction", "instance-contrastive"])
+    def test_non_square_images_rejected_before_training(self, tmp_path, capsys, flavor):
+        data = tmp_path / "data"
+        rng = np.random.default_rng(0)
+        wide = dat.Dataset(rng.integers(0, 256, (4, 3, 8, 16), dtype=np.uint8), np.zeros(4, np.uint8))
+        for split in ("train", "test"):
+            dat.write_dmtd(data / f"{split}.dmtd", wide)
+        out = tmp_path / "bank"
+        code = main(
+            ["make-teachers", "--data", str(data), "--out", str(out),
+             "--epochs", "1", "--flavors", flavor]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: images are 8x16" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_flavor_rejected_before_training(self, cli_env, tmp_path, capsys):
         root, _ = cli_env
         out = tmp_path / "bank"

@@ -76,14 +76,23 @@ class TestTokensToFeatureMap:
         fmap = tokens_to_feature_map(tokens, 2, 2)
         expect = np.array(oracles.tokens_to_map_naive(tokens.tolist(), 2, 2))
         np.testing.assert_array_equal(fmap, expect)
+        assert not fmap.flags.writeable
         for c in range(3):
             for r in range(2):
                 for w in range(2):
                     assert fmap[c, r, w] == tokens[1 + r * 2 + w, c]
 
-    def test_grid_mismatch_errors(self, rng):
-        with pytest.raises(ValueError):
-            tokens_to_feature_map(rng.normal(size=(5, 3)), 3, 2)
+    @pytest.mark.parametrize(
+        "grid, bad, message",
+        [((3, 2), None, "grid"), ((2, 2), np.nan, "non-finite"), ((2, 2), np.inf, "non-finite")],
+        ids=["grid-mismatch", "nan", "inf"],
+    )
+    def test_bad_input_errors(self, rng, grid, bad, message):
+        tokens = rng.normal(size=(5, 3))
+        if bad is not None:
+            tokens[2, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            tokens_to_feature_map(tokens, *grid)
 
     @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)], ids=["single", "batched"])
     def test_tape_version_matches(self, rng, shape):

@@ -1,6 +1,8 @@
 """Tensor container, plain kernels, tape gradients, and the checker itself."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,22 @@ class TestTensorContainer:
             t.array[0] = 5.0
         with pytest.raises(AttributeError):
             t.array = np.zeros(2)
+
+    @pytest.mark.parametrize(
+        "op, is_view",
+        [
+            (lambda a: T.reshape(a, (2, 6)), True),
+            (lambda a: T.slice_axis(a, 0, 1, 2), True),
+            (lambda a: T.slice_axis(a, 1, 1, 3), False),
+            (lambda a: T.transpose(a, (1, 0)), False),
+        ],
+        ids=["reshape", "slice-leading", "slice-inner", "transpose"],
+    )
+    def test_views_only_when_already_contiguous(self, op, is_view, rng):
+        a = Tensor(rng.normal(size=(3, 4)))
+        out = op(a)
+        assert out.array.flags.c_contiguous and not out.array.flags.writeable
+        assert np.shares_memory(out.array, a.array) == is_view
 
     def test_assign_parameter_only(self):
         c = Tensor([1.0, 2.0])
@@ -362,6 +380,23 @@ class TestRunGradCheck:
         assert report.passed
         assert report.max_rel_error == 0.0
 
+    def test_failing_computation_leaves_parameters_unchanged(self):
+        theta = Tensor([1.0, 2.0], parameter=True, name="theta")
+        other = Tensor([3.0], parameter=True, name="other")
+        before = [theta.array.tobytes(), other.array.tobytes()]
+        calls = 0
+
+        def fn():
+            nonlocal calls
+            calls += 1
+            if calls == 5:  # the second bumped evaluation of theta[0]
+                raise ValueError("boom")
+            return T.sum_all(T.mul(theta, theta))
+
+        with pytest.raises(ValueError, match="boom"):
+            run_grad_check(fn, [theta, other])
+        assert [theta.array.tobytes(), other.array.tobytes()] == before
+
     def test_nondeterministic_computation_rejected(self):
         theta = Tensor([1.0], parameter=True)
 
@@ -370,3 +405,27 @@ class TestRunGradCheck:
 
         with pytest.raises(ValueError, match="deterministic"):
             run_grad_check(fn, [theta])
+
+
+def test_wrap_is_the_only_forward_copy():
+    """In every primitive (a function that calls ``_emit``), no
+    ``np.ascontiguousarray`` or ``.copy()`` sits outside its ``backward``
+    closure, so ``Tensor._wrap`` alone decides a forward value's layout."""
+    tree = ast.parse(Path(T.__file__).read_text())
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+        if not any(getattr(c.func, "id", None) == "_emit" for c in calls):
+            continue
+        adjoint = {
+            id(n)
+            for b in ast.walk(fn)
+            if isinstance(b, ast.FunctionDef) and b.name == "backward"
+            for n in ast.walk(b)
+        }
+        for c in calls:
+            if id(c) not in adjoint and getattr(c.func, "attr", None) in ("ascontiguousarray", "copy"):
+                found.append(f"{fn.name}:{c.lineno} {c.func.attr}")
+    assert not found, f"forward copies outside Tensor._wrap: {found}"

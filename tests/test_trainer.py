@@ -16,6 +16,7 @@ from fusekd import data as dat
 from fusekd import fusion
 from fusekd import optim
 from fusekd import teachers as tch
+from fusekd import tensor as T
 from fusekd import trainer
 from fusekd.augment import AugmentConfig
 from fusekd.config import ScheduleSettings, TrainConfig, serialize_config, parse_config
@@ -179,6 +180,26 @@ class TestDistillStep:
         assert digest.hexdigest() == (
             "d036353f2bbfb41b884976c31a687187f582db9388aa7c5899cce36aedc96003"
         )
+
+    def test_every_taped_output_is_c_contiguous_and_read_only(self, micro_bank, monkeypatch):
+        # reference shapes: B=64, the depth-2 width-16 student, three width-32 teachers
+        bank = tch.load_bank(micro_bank)
+        student = ViTEncoder(STUDENT_CFG, seed=1)
+        adapter = Adapter.create(16, 32, seed=2)
+        state = optim.init_adamw(student.parameters() + adapter.parameters())
+        outputs, record = [], T.GradTape.record
+
+        def kept(tape, out, inputs, backward):
+            outputs.append(out)
+            record(tape, out, inputs, backward)
+
+        monkeypatch.setattr(T.GradTape, "record", kept)
+        images = dat.generate(64, seed=3).float_images()
+        seeds = [sample_seed(5, i) for i in range(64)]
+        distill_step(images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3)
+        assert outputs
+        for out in outputs:
+            assert out.array.flags.c_contiguous and not out.array.flags.writeable
 
     def test_teachers_untouched_by_steps(self, micro_bank):
         bank, student, adapter, state = self._setup(micro_bank)

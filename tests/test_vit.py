@@ -157,6 +157,19 @@ class TestEncode:
             )
 
 
+class TestAttentionRecords:
+    def test_one_block_records_twelve_attention_ops(self, rng):
+        enc = ViTEncoder(ViTConfig(16, 4, 1, 16, 2), seed=0)
+        with GradTape() as tape:
+            enc.encode_batch(rng.random((2, 3, 16, 16)))
+        ops = [backward.__qualname__.split(".")[0] for _, _, backward in tape._records]
+        start = ops.index("layer_norm") + 2  # after ln1 and the qkv projection
+        assert ops[start : ops.index("linear", start)] == [
+            "reshape", "transpose", "slice_axis", "slice_axis", "slice_axis",
+            "transpose", "matmul", "scale", "softmax", "matmul", "transpose", "reshape",
+        ]
+
+
 class TestGradients:
     def test_end_to_end_grad_check(self, rng):
         cfg = ViTConfig(image_size=16, patch_size=4, depth=2, embed_dim=8, num_heads=2)
