@@ -12,14 +12,16 @@ Loss structure, per sample:
                  softmax over the D channels;
   spatial loss = mean over D channels (class token excluded) of
                  KL(softmax(student_channel) || softmax(fused_channel)),
-                 softmax over the N grid cells.
-The combined loss is their unweighted sum. The MSE variant keeps the same
-averaging denominators but compares raw embeddings with squared error.
+                 softmax over the N patch tokens.
+Every loss function takes the student's token matrix (a tape tensor) and the
+fused token matrix, both (..., N+1, D); the spatial terms read channel rows of
+the patch tokens themselves, so no term needs the patch grid. The combined
+loss is their unweighted sum. The MSE variant keeps the same averaging
+denominators but compares raw embeddings with squared error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,26 +48,22 @@ def fuse_tokens(teacher_tokens: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def tokens_to_feature_map(tokens: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
+def tokens_to_feature_map(tokens: np.ndarray) -> np.ndarray:
     """``student_feature_map`` of a plain array, off the tape; read-only."""
     with T.no_tape():
-        return student_feature_map(Tensor(tokens), grid_h, grid_w).array
+        return student_feature_map(Tensor(tokens)).array
 
 
-def student_feature_map(tokens: Tensor, grid_h: int, grid_w: int) -> Tensor:
-    """(..., N+1, D) -> (..., D, H', W'), class token dropped.
+def student_feature_map(tokens: Tensor) -> Tensor:
+    """(..., N+1, D) -> (..., D, N): one row per channel, class token dropped.
 
-    Cell (c, r, w) of the map reads token 1 + r*W' + w, channel c, matching
-    the row-major grid order of ``patchify``.
+    Row c reads channel c of the N patch tokens in their ``patchify`` order.
     """
-    n = tokens.shape[-2] - 1
-    if grid_h * grid_w != n:
-        raise ValueError(f"grid {grid_h}x{grid_w} != {n} patch tokens")
-    lead, d = tokens.shape[:-2], tokens.shape[-1]
-    k = len(lead)
-    x = T.slice_axis(tokens, k, 1, n + 1)
-    x = T.reshape(x, lead + (grid_h, grid_w, d))
-    return T.transpose(x, (*range(k), k + 2, k, k + 1))
+    if len(tokens.shape) < 2 or tokens.shape[-2] < 2:
+        raise ValueError(f"tokens must be (..., N+1, D) with N >= 1, got shape {tokens.shape}")
+    k = len(tokens.shape) - 2
+    x = T.slice_axis(tokens, k, 1, tokens.shape[-2])
+    return T.transpose(x, (*range(k), k + 1, k))
 
 
 @dataclass
@@ -99,14 +97,6 @@ class Adapter:
         return [self.weight, self.bias]
 
 
-def _target(student: Tensor, target, what: str) -> np.ndarray:
-    """``target`` as a float64 array, checked against the student's shape."""
-    t = np.asarray(target, dtype=np.float64)
-    if student.shape != t.shape:
-        raise ValueError(f"{what} shape mismatch: {student.shape} vs {t.shape}")
-    return t
-
-
 def _mean_row_kl(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
     """Mean over leading rows of KL(softmax(student_row) || softmax(target_row))."""
     return T.scale(T.kl_vs_constant(student, target), 1.0 / rows)
@@ -118,53 +108,45 @@ def _mean_row_sq(student: Tensor, target: np.ndarray, rows: int) -> Tensor:
     return T.scale(T.sum_all(T.mul(d, d)), 1.0 / rows)
 
 
-def _token_term(reduce, student_tokens: Tensor, fused_tokens) -> Tensor:
-    """``reduce`` over every token row: B * (N+1) rows, each over D channels."""
-    t = _target(student_tokens, fused_tokens, "token")
-    return reduce(student_tokens, t, int(np.prod(t.shape[:-1])))
-
-
-def _spatial_term(reduce, student_map: Tensor, fused_map) -> Tensor:
-    """``reduce`` over every channel row: B * D rows, each over N grid cells."""
-    t = _target(student_map, fused_map, "feature map")
-    if t.ndim < 3:
-        raise ValueError("feature maps must be (..., D, H', W')")
-    lead = t.shape[:-2]
-    n = t.shape[-2] * t.shape[-1]
-    return reduce(T.reshape(student_map, lead + (n,)), t.reshape(lead + (n,)), int(np.prod(lead)))
+def _rows(reduce, student: Tensor, target) -> Tensor:
+    """``reduce`` over every leading row of ``student`` against the same-shaped ``target``."""
+    t = np.asarray(target, dtype=np.float64)
+    if student.shape != t.shape:
+        raise ValueError(f"shape mismatch: {student.shape} vs {t.shape}")
+    return reduce(student, t, int(np.prod(t.shape[:-1])))
 
 
 def token_fusion_loss(student_tokens, fused_tokens) -> Tensor:
     """Per-token channel KL against the fused target; all N+1 tokens included."""
-    return _token_term(_mean_row_kl, student_tokens, fused_tokens)
+    return _rows(_mean_row_kl, student_tokens, fused_tokens)
 
 
-def spatial_fusion_loss(student_map, fused_map) -> Tensor:
-    """Per-channel spatial KL; each channel flattened to its N grid cells."""
-    return _spatial_term(_mean_row_kl, student_map, fused_map)
+def spatial_fusion_loss(student_tokens, fused_tokens) -> Tensor:
+    """Per-channel KL over the N patch tokens against the fused target."""
+    return _rows(_mean_row_kl, student_feature_map(student_tokens), tokens_to_feature_map(fused_tokens))
 
 
-def total_loss(student_tokens, fused_tokens, student_map, fused_map) -> Tensor:
+def total_loss(student_tokens, fused_tokens) -> Tensor:
     """Unweighted sum of the token and spatial losses."""
     return T.add(
         token_fusion_loss(student_tokens, fused_tokens),
-        spatial_fusion_loss(student_map, fused_map),
+        spatial_fusion_loss(student_tokens, fused_tokens),
     )
 
 
 def mse_token_term(student_tokens, fused_tokens) -> Tensor:
-    return _token_term(_mean_row_sq, student_tokens, fused_tokens)
+    return _rows(_mean_row_sq, student_tokens, fused_tokens)
 
 
-def mse_spatial_term(student_map, fused_map) -> Tensor:
-    return _spatial_term(_mean_row_sq, student_map, fused_map)
+def mse_spatial_term(student_tokens, fused_tokens) -> Tensor:
+    return _rows(_mean_row_sq, student_feature_map(student_tokens), tokens_to_feature_map(fused_tokens))
 
 
-def mse_loss_variant(student_tokens, fused_tokens, student_map, fused_map) -> Tensor:
+def mse_loss_variant(student_tokens, fused_tokens) -> Tensor:
     """Ablation: same two-term structure on raw embeddings with squared error."""
     return T.add(
         mse_token_term(student_tokens, fused_tokens),
-        mse_spatial_term(student_map, fused_map),
+        mse_spatial_term(student_tokens, fused_tokens),
     )
 
 
@@ -177,10 +159,9 @@ def mode_loss(
     """Training objective for one of ``LOSS_MODES``, from the projected student
     tokens (B, N+1, D) and each teacher's tokens of the same shape.
 
-    The target is ``fuse_tokens(teacher_tokens)``, on a square grid of
-    ``isqrt(N)``; only modes with a spatial term build its feature map.
-    Returns (loss, token_term, spatial_term); a term the mode leaves out of
-    the gradient is None. ``mse`` swaps both KL terms for squared error.
+    The target is ``fuse_tokens(teacher_tokens)``. Returns (loss,
+    token_term, spatial_term); a term the mode leaves out of the gradient is
+    None. ``mse`` swaps both KL terms for squared error.
     """
     if mode not in LOSS_MODES:
         raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
@@ -190,7 +171,5 @@ def mode_loss(
     lt = None if mode == "sfd" else token_term(proj, fused_tokens)
     if mode == "tfd":
         return lt, lt, None
-    grid = math.isqrt(fused_tokens.shape[-2] - 1)
-    fused_map = tokens_to_feature_map(fused_tokens, grid, grid)
-    ls = spatial_term(student_feature_map(proj, grid, grid), fused_map)
+    ls = spatial_term(proj, fused_tokens)
     return (ls, None, ls) if mode == "sfd" else (T.add(lt, ls), lt, ls)

@@ -196,6 +196,11 @@ def make_toy_teacher(
         return ViTEncoder(config, seed=seed).freeze()
     if images is None:
         raise ValueError(f"flavor {flavor!r} needs training images")
+    size = config.image_size
+    if np.shape(images)[1:] != (3, size, size):
+        raise ValueError(
+            f"images of shape {np.shape(images)}; this teacher config needs (n, 3, {size}, {size})"
+        )
     fit = (
         train_masked_reconstruction
         if flavor == "masked-reconstruction"

@@ -315,10 +315,8 @@ def fit_linear_head(
     iters: int = PROBE_ITERS,
 ) -> float:
     """Full-batch softmax regression, Adam with L2 decay on ``w``; returns held-out accuracy."""
-    if iters < 1:
-        raise ValueError(f"probe iterations must be >= 1, got {iters}")
-    if len(np.unique(train_y)) < 2:
-        raise ValueError("probe needs at least two classes in the training labels")
+    _check_probe_epochs(iters)
+    _check_probe_labels(train_y)
     mu = train_x.mean(axis=0)
     sd = train_x.std(axis=0) + 1e-8
     xs = (train_x - mu) / sd
@@ -339,10 +337,23 @@ def fit_linear_head(
     return float((pred == test_y.astype(int)).mean())
 
 
-def _check_probe_splits(train_ds: dat.Dataset, test_ds: dat.Dataset) -> None:
+def _check_probe_epochs(probe_epochs: int) -> None:
+    if probe_epochs < 1:
+        raise ValueError(f"probe iterations (probe_epochs) must be >= 1, got {probe_epochs}")
+
+
+def _check_probe_labels(train_y: np.ndarray) -> None:
+    if len(np.unique(train_y)) < 2:
+        raise ValueError("probe needs at least two classes in the training labels")
+
+
+def _check_probe_splits(train_ds: dat.Dataset, test_ds: dat.Dataset, probe_epochs: int) -> None:
+    """Everything a probe needs, checked before any feature is extracted."""
+    _check_probe_epochs(probe_epochs)
     for split, ds in (("train", train_ds), ("test", test_ds)):
         if len(ds) == 0:
             raise ValueError(f"linear probe: the {split} split has no samples")
+    _check_probe_labels(train_ds.labels)
 
 
 def linear_probe(
@@ -352,7 +363,7 @@ def linear_probe(
     probe_epochs: int = PROBE_ITERS,
 ) -> float:
     """Accuracy of a linear head on frozen class-token features."""
-    _check_probe_splits(train_ds, test_ds)
+    _check_probe_splits(train_ds, test_ds, probe_epochs)
     train_x = class_token_features(encoder, train_ds.float_images())
     test_x = class_token_features(encoder, test_ds.float_images())
     k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
@@ -405,10 +416,9 @@ def _sweep(
     Rows that are not single settings get ``delta_pp`` against the best
     single row's probe accuracy.
     """
-    if probe_epochs < 1:
-        raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
+    _check_probe_epochs(probe_epochs)  # before the dataset is read
     train_ds, test_ds = dat.load_splits(cfg.dataset)
-    _check_probe_splits(train_ds, test_ds)
+    _check_probe_splits(train_ds, test_ds, probe_epochs)
     rows = []
     for label, overrides, _, note in runs:
         result = train(replace(cfg, **overrides))

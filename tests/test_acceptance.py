@@ -128,14 +128,12 @@ class TestGradientSuite:
         adapter = Adapter.create(8, 16, seed=1)
         img = rng.random((1, 3, 16, 16))
         target_tokens = rng.normal(size=(1, cfg.num_patches + 1, 16))
-        target_map = fusion.tokens_to_feature_map(target_tokens, cfg.grid, cfg.grid)
 
         def loss():
             proj = adapter.project(enc.encode_batch(img))
-            smap = fusion.student_feature_map(proj, cfg.grid, cfg.grid)
             return T.add(
                 fusion.token_fusion_loss(proj, target_tokens),
-                fusion.spatial_fusion_loss(smap, target_map),
+                fusion.spatial_fusion_loss(proj, target_tokens),
             )
 
         params = enc.parameters() + adapter.parameters()
@@ -169,16 +167,19 @@ class TestOracleEquivalence:
                 fusion.token_fusion_loss(Tensor(s), t).item(),
                 oracles.tfd_naive(s.tolist(), t.tolist()),
             ))
-            sm = rng.normal(scale=2.0, size=(d, g, g))
-            tm = rng.normal(scale=2.0, size=(d, g, g))
+            # (g*g + 1, d) token matrices; the oracle reads their (d, g, g) maps
+            sp = rng.normal(scale=2.0, size=(g * g + 1, d))
+            tp = rng.normal(scale=2.0, size=(g * g + 1, d))
+            sm = oracles.tokens_to_map_naive(sp.tolist(), g, g)
+            tm = oracles.tokens_to_map_naive(tp.tolist(), g, g)
             worst = max(worst, rel(
-                fusion.spatial_fusion_loss(Tensor(sm), tm).item(),
-                oracles.sfd_naive(sm.tolist(), tm.tolist()),
+                fusion.spatial_fusion_loss(Tensor(sp), tp).item(),
+                oracles.sfd_naive(sm, tm),
             ))
             worst = max(worst, rel(
-                fusion.mse_loss_variant(Tensor(s), t, Tensor(sm), tm).item(),
-                oracles.mse_token_naive(s.tolist(), t.tolist())
-                + oracles.mse_spatial_naive(sm.tolist(), tm.tolist()),
+                fusion.mse_loss_variant(Tensor(sp), tp).item(),
+                oracles.mse_token_naive(sp.tolist(), tp.tolist())
+                + oracles.mse_spatial_naive(sm, tm),
             ))
             mats = [rng.normal(size=(3, 3)) for _ in range(int(rng.integers(1, 5)))]
             ordered = sorted(mats, key=lambda m: m.tobytes())
@@ -226,14 +227,9 @@ class TestAlgebraicInvariants:
     def test_teacher_permutation_invariance(self, rng):
         teachers = [rng.normal(size=(5, 4)) for _ in range(3)]
         s = Tensor(rng.normal(size=(5, 4)))
-        smap = fusion.student_feature_map(s, 2, 2)
 
         def total(order):
-            toks = fusion.fuse_tokens([teachers[i] for i in order])
-            fmap = fusion.fuse_tokens(
-                [fusion.tokens_to_feature_map(teachers[i], 2, 2) for i in order]
-            )
-            return fusion.total_loss(s, toks, smap, fmap).item()
+            return fusion.total_loss(s, fusion.fuse_tokens([teachers[i] for i in order])).item()
 
         base = total([0, 1, 2])
         ok = all(total(o) == base for o in ([2, 1, 0], [1, 0, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]))
@@ -241,8 +237,8 @@ class TestAlgebraicInvariants:
 
     def test_fuse_reshape_commute(self, rng):
         tokens = [rng.normal(size=(17, 6)) for _ in range(3)]
-        a = fusion.tokens_to_feature_map(fusion.fuse_tokens(tokens), 4, 4)
-        b = fusion.fuse_tokens([fusion.tokens_to_feature_map(t, 4, 4) for t in tokens])
+        a = fusion.tokens_to_feature_map(fusion.fuse_tokens(tokens))
+        b = fusion.fuse_tokens([fusion.tokens_to_feature_map(t) for t in tokens])
         ok = np.array_equal(a, b)
         assert report("invariant-fuse-reshape-commute", ok, "zero difference")
 

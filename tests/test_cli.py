@@ -199,6 +199,21 @@ def test_sweep_empty_test_split_exit_2_before_any_run(cli_env, empty_test_split,
     assert not out.exists()
 
 
+def test_sweep_single_class_train_split_exit_2_before_any_run(cli_env, tmp_path, capsys):
+    root, cfg_path = cli_env
+    data = tmp_path / "data"
+    train = dat.read_dmtd(root / "data" / "train.dmtd")
+    dat.write_dmtd(data / "train.dmtd", dat.Dataset(train.images, np.zeros_like(train.labels)))
+    (data / "test.dmtd").write_bytes((root / "data" / "test.dmtd").read_bytes())
+    out = tmp_path / "sl"
+    p = _config_with_out_dir(cfg_path, out, tmp_path)
+    _set_key(p, "dataset", data)
+    assert main(["sweep-losses", "--config", str(p), "--probe-epochs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "two classes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_nan_learning_rate_exit_2_and_nothing_created(cli_env, tmp_path, capsys):
     root, cfg_path = cli_env
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
-"""Fusion sums, token/map reshapes, adapter, and the distillation losses."""
+"""Fusion sums, token-to-channel-row views, adapter, and the distillation losses."""
 
+import inspect
 import math
 
 import numpy as np
@@ -67,40 +68,38 @@ class TestTokensToFeatureMap:
     def test_basis_placement(self):
         tokens = np.zeros((5, 3))
         tokens[1, 0] = 1.0  # first patch token, channel 0
-        fmap = tokens_to_feature_map(tokens, 2, 2)
-        assert fmap[0, 0, 0] == 1.0
+        fmap = tokens_to_feature_map(tokens)
+        assert fmap[0, 0] == 1.0
         assert fmap[0].sum() == 1.0
 
     def test_matches_index_oracle(self, rng):
-        tokens = rng.normal(size=(5, 3))  # N=4, D=3
-        fmap = tokens_to_feature_map(tokens, 2, 2)
+        tokens = rng.normal(size=(5, 3))  # N=4 on a 2x2 grid, D=3
+        fmap = tokens_to_feature_map(tokens)
+        # each channel row lists the patch tokens in the grid's row-major order
         expect = np.array(oracles.tokens_to_map_naive(tokens.tolist(), 2, 2))
-        np.testing.assert_array_equal(fmap, expect)
+        np.testing.assert_array_equal(fmap.reshape(3, 2, 2), expect)
         assert not fmap.flags.writeable
         for c in range(3):
             for r in range(2):
                 for w in range(2):
-                    assert fmap[c, r, w] == tokens[1 + r * 2 + w, c]
+                    assert fmap[c, r * 2 + w] == tokens[1 + r * 2 + w, c]
 
     @pytest.mark.parametrize(
-        "grid, bad, message",
-        [((3, 2), None, "grid"), ((2, 2), np.nan, "non-finite"), ((2, 2), np.inf, "non-finite")],
-        ids=["grid-mismatch", "nan", "inf"],
+        "bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite")], ids=["nan", "inf"]
     )
-    def test_bad_input_errors(self, rng, grid, bad, message):
+    def test_bad_input_errors(self, rng, bad, message):
         tokens = rng.normal(size=(5, 3))
-        if bad is not None:
-            tokens[2, 1] = bad
+        tokens[2, 1] = bad
         with pytest.raises(ValueError, match=message):
-            tokens_to_feature_map(tokens, *grid)
+            tokens_to_feature_map(tokens)
 
     @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)], ids=["single", "batched"])
     def test_tape_version_matches(self, rng, shape):
         tokens = rng.normal(size=shape)
         with GradTape() as tape:
-            got = student_feature_map(Tensor(tokens), 2, 2).array
-        np.testing.assert_array_equal(got, tokens_to_feature_map(tokens, 2, 2))
-        assert len(tape) == 3  # slice, reshape, transpose
+            got = student_feature_map(Tensor(tokens)).array
+        np.testing.assert_array_equal(got, tokens_to_feature_map(tokens))
+        assert len(tape) == 2  # slice, transpose
 
 
 class TestFuseFeatures:
@@ -113,10 +112,8 @@ class TestFuseFeatures:
 
     def test_commutes_with_reshape(self, rng):
         tokens = [rng.normal(size=(5, 3)) for _ in range(3)]
-        via_fuse_first = tokens_to_feature_map(fuse_tokens(tokens), 2, 2)
-        via_reshape_first = fuse_tokens(
-            [tokens_to_feature_map(t, 2, 2) for t in tokens]
-        )
+        via_fuse_first = tokens_to_feature_map(fuse_tokens(tokens))
+        via_reshape_first = fuse_tokens([tokens_to_feature_map(t) for t in tokens])
         np.testing.assert_array_equal(via_fuse_first, via_reshape_first)
 
 
@@ -156,6 +153,11 @@ def _loss_val(t):
     return t.item() if isinstance(t, Tensor) else float(t)
 
 
+def _oracle_rows(tokens):
+    """The oracle's (D, N) channel rows of a 2-D token matrix: a 1 x N grid."""
+    return oracles.tokens_to_map_naive(tokens.tolist(), 1, len(tokens) - 1)
+
+
 class TestTokenFusionLoss:
     def test_zero_when_student_equals_target(self, rng):
         z = rng.normal(size=(5, 4))
@@ -190,48 +192,43 @@ class TestTokenFusionLoss:
 
 class TestSpatialFusionLoss:
     def test_zero_when_equal(self, rng):
-        m = rng.normal(size=(3, 2, 2))
+        m = rng.normal(size=(5, 3))
         assert _loss_val(spatial_fusion_loss(Tensor(m), m)) < 1e-12
 
     def test_closed_form_single_channel(self):
-        s = np.array([[[1.0, 0.0]]])  # D=1, grid 1x2
-        t = np.array([[[0.0, 1.0]]])
+        s = np.array([[5.0], [1.0], [0.0]])  # D=1, N=2; the class token is left out
+        t = np.array([[-3.0], [0.0], [1.0]])
         got = _loss_val(spatial_fusion_loss(Tensor(s), t))
         assert abs(got - (math.e - 1.0) / (math.e + 1.0)) < 1e-12
 
     def test_matches_naive(self, rng):
-        s = rng.normal(scale=2.0, size=(3, 2, 2))
-        t = rng.normal(scale=2.0, size=(3, 2, 2))
+        s = rng.normal(scale=2.0, size=(5, 3))
+        t = rng.normal(scale=2.0, size=(5, 3))
         got = _loss_val(spatial_fusion_loss(Tensor(s), t))
-        expect = oracles.sfd_naive(s.tolist(), t.tolist())
+        expect = oracles.sfd_naive(_oracle_rows(s), _oracle_rows(t))
         assert abs(got - expect) < 1e-10
 
 
 class TestTotalLoss:
     def test_zero_components(self, rng):
         z = rng.normal(size=(5, 4))
-        m = tokens_to_feature_map(z, 2, 2)
-        assert _loss_val(total_loss(Tensor(z), z, Tensor(m), m)) < 1e-12
+        assert _loss_val(total_loss(Tensor(z), z)) < 1e-12
 
     def test_equals_sum_of_parts_bit_exact(self, rng):
         s = rng.normal(size=(5, 4))
         t = rng.normal(size=(5, 4))
-        sm = rng.normal(size=(4, 2, 2))
-        tm = rng.normal(size=(4, 2, 2))
-        combined = _loss_val(total_loss(Tensor(s), t, Tensor(sm), tm))
+        combined = _loss_val(total_loss(Tensor(s), t))
         parts = _loss_val(token_fusion_loss(Tensor(s), t)) + _loss_val(
-            spatial_fusion_loss(Tensor(sm), tm)
+            spatial_fusion_loss(Tensor(s), t)
         )
         assert combined == parts
 
     def test_matches_oracle_sum(self, rng):
         s = rng.normal(size=(5, 4))
         t = rng.normal(size=(5, 4))
-        sm = rng.normal(size=(4, 2, 2))
-        tm = rng.normal(size=(4, 2, 2))
-        got = _loss_val(total_loss(Tensor(s), t, Tensor(sm), tm))
+        got = _loss_val(total_loss(Tensor(s), t))
         expect = oracles.tfd_naive(s.tolist(), t.tolist()) + oracles.sfd_naive(
-            sm.tolist(), tm.tolist()
+            _oracle_rows(s), _oracle_rows(t)
         )
         assert abs(got - expect) < 1e-10
 
@@ -239,8 +236,7 @@ class TestTotalLoss:
 class TestMseVariant:
     def test_zero_on_match(self, rng):
         z = rng.normal(size=(5, 4))
-        m = tokens_to_feature_map(z, 2, 2)
-        assert _loss_val(mse_loss_variant(Tensor(z), z, Tensor(m), m)) == 0.0
+        assert _loss_val(mse_loss_variant(Tensor(z), z)) == 0.0
 
     def test_single_token_single_channel(self):
         s = np.array([[2.0]])
@@ -250,18 +246,18 @@ class TestMseVariant:
     def test_matches_naive(self, rng):
         s = rng.normal(size=(5, 4))
         t = rng.normal(size=(5, 4))
-        sm = rng.normal(size=(4, 2, 2))
-        tm = rng.normal(size=(4, 2, 2))
-        got = _loss_val(mse_loss_variant(Tensor(s), t, Tensor(sm), tm))
+        got = _loss_val(mse_loss_variant(Tensor(s), t))
         expect = oracles.mse_token_naive(s.tolist(), t.tolist()) + oracles.mse_spatial_naive(
-            sm.tolist(), tm.tolist()
+            _oracle_rows(s), _oracle_rows(t)
         )
         assert abs(got - expect) < 1e-12
 
     def test_spatial_term_rejects_2d_map(self, rng):
-        m = rng.normal(size=(2, 2))
-        with pytest.raises(ValueError, match="feature maps"):
-            mse_spatial_term(Tensor(m), m)
+        # a spatial row needs a (..., N+1, D) token matrix with N >= 1 patch tokens
+        for shape in [(4,), (1, 4)]:
+            z = rng.normal(size=shape)
+            with pytest.raises(ValueError, match=r"\(\.\.\., N\+1, D\) with N >= 1"):
+                mse_spatial_term(Tensor(z), z)
 
 
 # mode -> (token oracle, spatial oracle); None where the mode has no such term
@@ -274,11 +270,14 @@ MODE_ORACLES = {
 
 
 class TestModeLoss:
-    @pytest.mark.parametrize("grid", [2, 3])
+    @pytest.mark.parametrize(
+        "grid",
+        [pytest.param((2, 2), id="2"), pytest.param((3, 3), id="3"), pytest.param((2, 3), id="2x3")],
+    )
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("mode", LOSS_MODES)
     def test_matches_loop_oracles(self, rng, mode, m, grid):
-        b, n1, d = 2, grid * grid + 1, 4
+        b, n1, d = 2, grid[0] * grid[1] + 1, 4
         teachers = [rng.normal(size=(b, n1, d)) for _ in range(m)]
         proj = rng.normal(size=(b, n1, d))
         loss, lt, ls = mode_loss(mode, Tensor(proj), teachers)
@@ -290,7 +289,7 @@ class TestModeLoss:
         expect = 0.0
         for term, oracle, view in (
             (lt, token_oracle, lambda rows: rows),
-            (ls, spatial_oracle, lambda rows: oracles.tokens_to_map_naive(rows, grid, grid)),
+            (ls, spatial_oracle, lambda rows: oracles.tokens_to_map_naive(rows, *grid)),
         ):
             if oracle is not None:
                 want = np.mean([oracle(view(proj[i].tolist()), view(fused[i])) for i in range(b)])
@@ -302,10 +301,7 @@ class TestModeLoss:
     def test_two_term_modes_equal_combined_losses_bit_exact(self, rng, mode, combined):
         teachers = [rng.normal(size=(2, 10, 4)) for _ in range(3)]
         proj = Tensor(rng.normal(size=(2, 10, 4)))
-        fused = fuse_tokens(teachers)
-        want = combined(
-            proj, fused, student_feature_map(proj, 3, 3), tokens_to_feature_map(fused, 3, 3)
-        )
+        want = combined(proj, fuse_tokens(teachers))
         assert mode_loss(mode, proj, teachers)[0].item() == want.item()
 
     def test_tfd_builds_no_feature_map(self, rng, monkeypatch):
@@ -325,10 +321,19 @@ class TestModeLoss:
         with pytest.raises(ValueError, match="loss_mode"):
             mode_loss("huber", Tensor(z), [z])
 
-    def test_non_square_grid_is_value_error(self, rng):
-        z = rng.normal(size=(1, 6, 4))  # 5 patch tokens
-        with pytest.raises(ValueError, match="grid"):
-            mode_loss("sfd", Tensor(z), [z])
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            token_fusion_loss,
+            spatial_fusion_loss,
+            total_loss,
+            mse_token_term,
+            mse_spatial_term,
+            mse_loss_variant,
+        ],
+    )
+    def test_every_loss_takes_two_token_matrices(self, loss):
+        assert list(inspect.signature(loss).parameters) == ["student_tokens", "fused_tokens"]
 
 
 class TestLossInvariants:
@@ -348,14 +353,9 @@ class TestLossInvariants:
     def test_total_loss_teacher_permutation_bit_exact(self, rng):
         teachers = [rng.normal(size=(5, 4)) for _ in range(3)]
         s = Tensor(rng.normal(size=(5, 4)))
-        sm = student_feature_map(s, 2, 2)
 
         def run(order):
-            toks = fuse_tokens([teachers[i] for i in order])
-            fmap = fuse_tokens(
-                [tokens_to_feature_map(teachers[i], 2, 2) for i in order]
-            )
-            return _loss_val(total_loss(s, toks, sm, fmap))
+            return _loss_val(total_loss(s, fuse_tokens([teachers[i] for i in order])))
 
         base = run([0, 1, 2])
         for order in ([2, 1, 0], [1, 2, 0], [0, 2, 1]):
@@ -365,12 +365,9 @@ class TestLossInvariants:
         student_tokens = Tensor(rng.normal(size=(5, 3)), parameter=True, name="tokens")
         adapter = Adapter.create(3, 4, seed=2)
         target = rng.normal(size=(5, 4))
-        target_map = tokens_to_feature_map(target, 2, 2)
 
         def fn():
-            proj = adapter.project(student_tokens)
-            smap = student_feature_map(proj, 2, 2)
-            return total_loss(proj, target, smap, target_map)
+            return total_loss(adapter.project(student_tokens), target)
 
         params = [student_tokens] + adapter.parameters()
         report = run_grad_check(fn, params, tol=1e-4)

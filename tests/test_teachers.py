@@ -83,6 +83,16 @@ class TestMakeToyTeacher:
             fit(**{"images": images, "config": SMALL_CFG, "seed": 0, **kwargs})
         assert calls == []
 
+    @pytest.mark.parametrize("flavor", sorted(GOLDEN_TRAINERS))
+    def test_images_off_the_config_size_rejected_before_any_encoder(self, monkeypatch, flavor):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an encoder was built for mismatched images")
+
+        monkeypatch.setattr(tch, "ViTEncoder", refuse)
+        wide = np.zeros((4, 3, 8, 16))
+        with pytest.raises(ValueError, match=r"\(4, 3, 8, 16\).*\(n, 3, 16, 16\)"):
+            tch.make_toy_teacher(0, flavor, wide, SMALL_CFG)
+
     def test_unknown_flavor_rejected(self, images):
         with pytest.raises(ValueError, match="flavor"):
             tch.make_toy_teacher(0, "supervised", images, SMALL_CFG)

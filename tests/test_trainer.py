@@ -606,6 +606,24 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match=f"the {split} split has no samples"):
             linear_probe(ViTEncoder(STUDENT_CFG, seed=5), splits["train"], splits["test"])
 
+    @pytest.mark.parametrize(
+        "probe_epochs, single_class, message",
+        [(0, False, "probe_epochs"), (2, True, "two classes")],
+        ids=["no-iterations", "single-class"],
+    )
+    def test_bad_probe_rejected_before_feature_extraction(
+        self, micro_data, monkeypatch, probe_epochs, single_class, message
+    ):
+        def refuse(*args):
+            raise AssertionError("features extracted before the probe was checked")
+
+        monkeypatch.setattr(trainer, "class_token_features", refuse)
+        train_ds, test_ds = dat.load_splits(micro_data)
+        if single_class:
+            train_ds = dat.Dataset(train_ds.images, np.zeros_like(train_ds.labels))
+        with pytest.raises(ValueError, match=message):
+            linear_probe(ViTEncoder(STUDENT_CFG, seed=5), train_ds, test_ds, probe_epochs=probe_epochs)
+
 
 class TestSweeps:
     def test_teacher_sweep_table_shape(self, micro_bank, micro_data, tmp_path):
