@@ -210,7 +210,7 @@ def _cmd_gradcheck(args) -> int:
 
     def end_to_end():
         proj = adapter.project(enc.encode_batch(img))
-        return fusion.mode_loss("tfd+sfd", proj, [t_tokens])[0]
+        return fusion.mode_loss("tfd+sfd", proj, t_tokens)[0]
 
     check("end-to-end-combined-loss", end_to_end, enc.parameters() + adapter.parameters())
 

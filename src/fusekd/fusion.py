@@ -13,11 +13,12 @@ Loss structure, per sample:
   spatial loss = mean over D channels (class token excluded) of
                  KL(softmax(student_channel) || softmax(fused_channel)),
                  softmax over the N patch tokens.
-Every loss function takes the student's token matrix (a tape tensor) and the
-fused token matrix, both (..., N+1, D); the spatial terms read channel rows of
-the patch tokens themselves, so no term needs the patch grid. The combined
-loss is their unweighted sum. The MSE variant keeps the same averaging
-denominators but compares raw embeddings with squared error.
+Every loss function, ``mode_loss`` included, takes the student's token matrix
+(a tape tensor) and the fused token matrix, both (..., N+1, D); none fuses.
+The spatial terms read channel rows of the patch tokens themselves, so no
+term needs the patch grid. The combined loss is their unweighted sum. The
+MSE variant keeps the same averaging denominators but compares raw
+embeddings with squared error.
 """
 
 from __future__ import annotations
@@ -126,14 +127,6 @@ def spatial_fusion_loss(student_tokens, fused_tokens) -> Tensor:
     return _rows(_mean_row_kl, student_feature_map(student_tokens), tokens_to_feature_map(fused_tokens))
 
 
-def total_loss(student_tokens, fused_tokens) -> Tensor:
-    """Unweighted sum of the token and spatial losses."""
-    return T.add(
-        token_fusion_loss(student_tokens, fused_tokens),
-        spatial_fusion_loss(student_tokens, fused_tokens),
-    )
-
-
 def mse_token_term(student_tokens, fused_tokens) -> Tensor:
     return _rows(_mean_row_sq, student_tokens, fused_tokens)
 
@@ -142,34 +135,34 @@ def mse_spatial_term(student_tokens, fused_tokens) -> Tensor:
     return _rows(_mean_row_sq, student_feature_map(student_tokens), tokens_to_feature_map(fused_tokens))
 
 
-def mse_loss_variant(student_tokens, fused_tokens) -> Tensor:
-    """Ablation: same two-term structure on raw embeddings with squared error."""
-    return T.add(
-        mse_token_term(student_tokens, fused_tokens),
-        mse_spatial_term(student_tokens, fused_tokens),
-    )
-
-
 LOSS_MODES = ("tfd", "sfd", "tfd+sfd", "mse")
 
 
 def mode_loss(
-    mode: str, proj: Tensor, teacher_tokens: list[np.ndarray]
+    mode: str, proj: Tensor, fused_tokens: np.ndarray
 ) -> tuple[Tensor, Tensor | None, Tensor | None]:
     """Training objective for one of ``LOSS_MODES``, from the projected student
-    tokens (B, N+1, D) and each teacher's tokens of the same shape.
+    tokens (B, N+1, D) and the fused target of the same shape.
 
-    The target is ``fuse_tokens(teacher_tokens)``. Returns (loss,
-    token_term, spatial_term); a term the mode leaves out of the gradient is
-    None. ``mse`` swaps both KL terms for squared error.
+    Returns (loss, token_term, spatial_term); a term the mode leaves out of
+    the gradient is None. ``mse`` swaps both KL terms for squared error.
     """
     if mode not in LOSS_MODES:
         raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
     token_term = mse_token_term if mode == "mse" else token_fusion_loss
     spatial_term = mse_spatial_term if mode == "mse" else spatial_fusion_loss
-    fused_tokens = fuse_tokens(teacher_tokens)
     lt = None if mode == "sfd" else token_term(proj, fused_tokens)
     if mode == "tfd":
         return lt, lt, None
     ls = spatial_term(proj, fused_tokens)
     return (ls, None, ls) if mode == "sfd" else (T.add(lt, ls), lt, ls)
+
+
+def total_loss(student_tokens, fused_tokens) -> Tensor:
+    """Unweighted sum of the token and spatial losses."""
+    return mode_loss("tfd+sfd", student_tokens, fused_tokens)[0]
+
+
+def mse_loss_variant(student_tokens, fused_tokens) -> Tensor:
+    """Ablation: same two-term structure on raw embeddings with squared error."""
+    return mode_loss("mse", student_tokens, fused_tokens)[0]

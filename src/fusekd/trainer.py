@@ -1,9 +1,10 @@
 """Distillation training loop, linear probing, and the ablation sweeps.
 
-Pipeline per step: paired views -> frozen teacher forwards -> fused targets
--> student forward + adapter -> loss per mode -> AdamW update. All
-randomness derives from the run seed; single-threaded runs are
-byte-reproducible (metrics records deliberately exclude wall time).
+Pipeline per step: ``step_targets`` (paired views -> frozen teacher forwards
+-> one fused target, off the tape), then student forward + adapter -> loss
+per mode -> backward -> AdamW update. All randomness derives from the run
+seed; single-threaded runs are byte-reproducible (metrics records
+deliberately exclude wall time).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .config import TrainConfig, parse_config, serialize_config
 from .fusion import Adapter
 from .teachers import TeacherBank, load_bank
 from .tensor import GradTape
-from .vit import ViTEncoder
+from .vit import ViTConfig, ViTEncoder
 
 _MASK63 = (1 << 63) - 1
 
@@ -76,17 +77,26 @@ class TrainResult:
     final_loss: float | None
 
 
-def _build_views(
-    images: np.ndarray, seeds: list[int], cfg: aug.AugmentConfig
+def step_targets(
+    images: np.ndarray, seeds: list[int], augment_cfg: aug.AugmentConfig, bank: TeacherBank
 ) -> tuple[np.ndarray, np.ndarray]:
-    b = images.shape[0]
+    """The frozen side of a step, ``(student_views, fused_tokens)``: one view pair
+    per image from its seed, every teacher's forward on the teacher views, and
+    their fusion. Never reads the student; records nothing on a tape."""
     teacher_views = np.empty_like(images)
     student_views = np.empty_like(images)
-    for i in range(b):
-        pair = aug.make_views(images[i], np.random.default_rng(seeds[i]), cfg)
+    for i in range(images.shape[0]):
+        pair = aug.make_views(images[i], np.random.default_rng(seeds[i]), augment_cfg)
         teacher_views[i] = pair.teacher_view
         student_views[i] = pair.student_view
-    return teacher_views, student_views
+    outs = bank.forward_all(teacher_views)
+    return student_views, fusion.fuse_tokens([o.array for o in outs])
+
+
+def _check_student_fits_bank(student_cfg: ViTConfig, bank: TeacherBank) -> None:
+    tcfg = bank.config
+    if (student_cfg.image_size, student_cfg.patch_size) != (tcfg.image_size, tcfg.patch_size):
+        raise ValueError("student and teachers must share resolution and patch size")
 
 
 def distill_step(
@@ -103,14 +113,28 @@ def distill_step(
     """One optimizer step over a batch of raw images, every pixel in [0, 1],
     with one view seed per image.
 
-    A sample outside [0, 1] raises ``NonFiniteLossError`` with its ``batch_index``
-    before any view is built. Any later ``ValueError`` (a non-finite primitive
-    output or update) raises it with ``batch_index=None``. Nothing is updated.
+    Checked in this order, before any view is built, each raising a plain
+    ``ValueError``: the loss mode; a non-empty ``(B, 3, S, S)`` batch for the
+    bank's image size S; one seed per image; the student's resolution and
+    patch size against the bank's; an adapter weight of ``(student width,
+    bank width)``. Then a sample outside [0, 1] raises ``NonFiniteLossError``
+    with its ``batch_index``. Any later ``ValueError`` (a non-finite
+    primitive output or update) raises it with ``batch_index=None``. Nothing
+    is updated on any failure.
     """
     if loss_mode not in fusion.LOSS_MODES:
         raise ValueError(f"loss_mode must be one of {fusion.LOSS_MODES}")
+    s = bank.config.image_size
+    if images.ndim != 4 or images.shape[1:] != (3, s, s) or images.shape[0] == 0:
+        raise ValueError(f"expected a non-empty (B, 3, {s}, {s}) image batch, got {images.shape}")
     if len(seeds) != images.shape[0]:
         raise ValueError(f"{len(seeds)} view seeds for {images.shape[0]} images")
+    _check_student_fits_bank(student.config, bank)
+    width = (student.config.embed_dim, bank.config.embed_dim)
+    if adapter.weight.shape != width:
+        raise ValueError(
+            f"adapter weight is {adapter.weight.shape}, not (student width, bank width) {width}"
+        )
     inside = (images >= 0.0) & (images <= 1.0)  # NaN compares False
     bad = np.flatnonzero(~inside.reshape(images.shape[0], -1).all(axis=1))
     if bad.size:
@@ -118,11 +142,10 @@ def distill_step(
         raise NonFiniteLossError(f"batch index {i}: pixels outside [0, 1]", batch_index=i)
     params = student.parameters() + adapter.parameters()
     try:
+        student_views, fused_tokens = step_targets(images, seeds, augment_cfg, bank)
         with GradTape() as tape:
-            teacher_views, student_views = _build_views(images, seeds, augment_cfg)
-            outs = bank.forward_all(teacher_views)  # frozen: never on tape
             proj = adapter.project(student.encode_batch(student_views))
-            loss, lt, ls = fusion.mode_loss(loss_mode, proj, [o.array for o in outs])
+            loss, lt, ls = fusion.mode_loss(loss_mode, proj, fused_tokens)
         grads = tape.gradients(loss, params)
         optim.adamw_step(params, grads, opt_state, lr)
     except ValueError as exc:
@@ -215,12 +238,7 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
     """Full distillation run; deterministic given cfg.seed (single-threaded)."""
     train_ds, _ = dat.load_splits(cfg.dataset)
     bank = load_bank(list(cfg.teacher_paths))
-    tcfg = bank.config
-    if (cfg.student.image_size, cfg.student.patch_size) != (
-        tcfg.image_size,
-        tcfg.patch_size,
-    ):
-        raise ValueError("student and teachers must share resolution and patch size")
+    _check_student_fits_bank(cfg.student, bank)
     if len(train_ds) == 0:
         raise ValueError(f"{cfg.dataset}: the training split has no samples")
     h, w = train_ds.images.shape[-2:]
@@ -316,7 +334,7 @@ def fit_linear_head(
 ) -> float:
     """Full-batch softmax regression, Adam with L2 decay on ``w``; returns held-out accuracy."""
     _check_probe_epochs(iters)
-    _check_probe_labels(train_y)
+    _check_probe_labels(train_y, test_y, num_classes)
     mu = train_x.mean(axis=0)
     sd = train_x.std(axis=0) + 1e-8
     xs = (train_x - mu) / sd
@@ -342,18 +360,24 @@ def _check_probe_epochs(probe_epochs: int) -> None:
         raise ValueError(f"probe iterations (probe_epochs) must be >= 1, got {probe_epochs}")
 
 
-def _check_probe_labels(train_y: np.ndarray) -> None:
+def _check_probe_labels(train_y: np.ndarray, test_y: np.ndarray, num_classes: int) -> None:
     if len(np.unique(train_y)) < 2:
         raise ValueError("probe needs at least two classes in the training labels")
+    for split, y in (("train", train_y), ("test", test_y)):
+        if not ((y >= 0) & (y < num_classes)).all():
+            raise ValueError(f"probe {split} labels must lie in [0, {num_classes})")
 
 
-def _check_probe_splits(train_ds: dat.Dataset, test_ds: dat.Dataset, probe_epochs: int) -> None:
-    """Everything a probe needs, checked before any feature is extracted."""
+def _check_probe_splits(train_ds: dat.Dataset, test_ds: dat.Dataset, probe_epochs: int) -> int:
+    """Everything a probe needs, checked before any feature is extracted;
+    returns the class count, one past the largest label of either split."""
     _check_probe_epochs(probe_epochs)
     for split, ds in (("train", train_ds), ("test", test_ds)):
         if len(ds) == 0:
             raise ValueError(f"linear probe: the {split} split has no samples")
-    _check_probe_labels(train_ds.labels)
+    k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
+    _check_probe_labels(train_ds.labels, test_ds.labels, k)
+    return k
 
 
 def linear_probe(
@@ -363,10 +387,9 @@ def linear_probe(
     probe_epochs: int = PROBE_ITERS,
 ) -> float:
     """Accuracy of a linear head on frozen class-token features."""
-    _check_probe_splits(train_ds, test_ds, probe_epochs)
+    k = _check_probe_splits(train_ds, test_ds, probe_epochs)
     train_x = class_token_features(encoder, train_ds.float_images())
     test_x = class_token_features(encoder, test_ds.float_images())
-    k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
     return fit_linear_head(
         train_x, train_ds.labels, test_x, test_ds.labels, k, iters=probe_epochs
     )

@@ -275,12 +275,21 @@ class TestModeLoss:
         [pytest.param((2, 2), id="2"), pytest.param((3, 3), id="3"), pytest.param((2, 3), id="2x3")],
     )
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("mode", LOSS_MODES)
-    def test_matches_loop_oracles(self, rng, mode, m, grid):
+    @pytest.mark.parametrize(
+        "mode, combined",
+        [pytest.param(mode, None, id=mode) for mode in LOSS_MODES]
+        + [
+            pytest.param("tfd+sfd", total_loss, id="total_loss"),
+            pytest.param("mse", mse_loss_variant, id="mse_loss_variant"),
+        ],
+    )
+    def test_matches_loop_oracles(self, rng, mode, combined, m, grid):
         b, n1, d = 2, grid[0] * grid[1] + 1, 4
         teachers = [rng.normal(size=(b, n1, d)) for _ in range(m)]
         proj = rng.normal(size=(b, n1, d))
-        loss, lt, ls = mode_loss(mode, Tensor(proj), teachers)
+        loss, lt, ls = mode_loss(mode, Tensor(proj), fuse_tokens(teachers))
+        if combined is not None:  # returns the sum only; the terms are mode_loss's
+            loss = combined(Tensor(proj), fuse_tokens(teachers))
         token_oracle, spatial_oracle = MODE_ORACLES[mode]
         assert (lt is None) == (token_oracle is None)
         assert (ls is None) == (spatial_oracle is None)
@@ -297,13 +306,6 @@ class TestModeLoss:
                 expect += want
         assert abs(loss.item() - expect) < 1e-10
 
-    @pytest.mark.parametrize("mode, combined", [("tfd+sfd", total_loss), ("mse", mse_loss_variant)])
-    def test_two_term_modes_equal_combined_losses_bit_exact(self, rng, mode, combined):
-        teachers = [rng.normal(size=(2, 10, 4)) for _ in range(3)]
-        proj = Tensor(rng.normal(size=(2, 10, 4)))
-        want = combined(proj, fuse_tokens(teachers))
-        assert mode_loss(mode, proj, teachers)[0].item() == want.item()
-
     def test_tfd_builds_no_feature_map(self, rng, monkeypatch):
         def refuse(*args):
             raise AssertionError("tfd must not build a feature map")
@@ -312,14 +314,14 @@ class TestModeLoss:
         monkeypatch.setattr(fusion, "student_feature_map", refuse)
         teachers = [rng.normal(size=(2, 5, 4)) for _ in range(2)]
         proj = Tensor(rng.normal(size=(2, 5, 4)))
-        loss, lt, ls = mode_loss("tfd", proj, teachers)
+        loss, lt, ls = mode_loss("tfd", proj, fuse_tokens(teachers))
         assert ls is None and lt is loss
         assert loss.item() == token_fusion_loss(proj, fuse_tokens(teachers)).item()
 
     def test_unknown_mode_is_value_error(self, rng):
         z = rng.normal(size=(1, 5, 4))
         with pytest.raises(ValueError, match="loss_mode"):
-            mode_loss("huber", Tensor(z), [z])
+            mode_loss("huber", Tensor(z), fuse_tokens([z]))
 
     @pytest.mark.parametrize(
         "loss",

@@ -1,5 +1,6 @@
 """Training orchestration: steps, full runs, probing, sweeps, state I/O."""
 
+import ast
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from fusekd import optim
 from fusekd import teachers as tch
 from fusekd import tensor as T
 from fusekd import trainer
-from fusekd.augment import AugmentConfig
+from fusekd.augment import AugmentConfig, make_views
 from fusekd.config import ScheduleSettings, TrainConfig, serialize_config, parse_config
 from fusekd.fusion import LOSS_MODES, Adapter
 from fusekd.trainer import (
@@ -29,6 +30,7 @@ from fusekd.trainer import (
     load_train_checkpoint,
     sample_seed,
     save_train_checkpoint,
+    step_targets,
     sweep_loss_modes,
     sweep_teacher_combinations,
     train,
@@ -308,6 +310,38 @@ class TestDistillStep:
         assert views == []
         assert state.t == 0
 
+    # case -> the message distill_step must raise, before any view is built
+    BAD_SHAPES = {
+        "empty-batch": r"non-empty \(B, 3, 16, 16\) image batch, got \(0, 3, 16, 16\)",
+        "8x8-images": r"non-empty \(B, 3, 16, 16\) image batch, got \(2, 3, 8, 8\)",
+        "student-resolution": "share resolution and patch size",
+        "student-patch": "share resolution and patch size",
+        "adapter-in-width": r"adapter weight is \(8, 32\), not .* \(16, 32\)",
+        "adapter-out-width": r"adapter weight is \(16, 16\), not .* \(16, 32\)",
+    }
+
+    @pytest.mark.parametrize("case", BAD_SHAPES)
+    def test_bad_shapes_rejected_before_any_view(self, micro_bank, monkeypatch, case):
+        bank, student, adapter, state = self._setup(micro_bank)
+        views = []
+        monkeypatch.setattr(trainer.aug, "make_views", lambda *args: views.append(args))
+        images = dat.generate(2, seed=3).float_images()
+        if case == "empty-batch":
+            images = images[:0]
+        elif case == "8x8-images":
+            images = images[:, :, :8, :8]
+        elif case.startswith("student"):
+            size, patch = (8, 4) if case == "student-resolution" else (16, 8)
+            student = ViTEncoder(ViTConfig(size, patch, 2, 16, 2), seed=1)
+        else:
+            adapter = Adapter.create(8, 32) if case == "adapter-in-width" else Adapter.create(16, 16)
+        state = optim.init_adamw(student.parameters() + adapter.parameters())
+        seeds = [sample_seed(1, i) for i in range(len(images))]
+        with pytest.raises(ValueError, match=self.BAD_SHAPES[case]):
+            distill_step(images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3)
+        assert views == []
+        assert state.t == 0
+
     def test_bad_mode_rejected(self, micro_bank):
         bank, student, adapter, state = self._setup(micro_bank)
         with pytest.raises(ValueError):
@@ -322,6 +356,59 @@ class TestDistillStep:
                 1e-3,
                 "l2",
             )
+
+
+class TestStepTargets:
+    CFG = AugmentConfig()
+
+    @staticmethod
+    def _inputs(micro_bank):
+        images = dat.generate(4, seed=3).float_images()
+        return images, [sample_seed(9, i) for i in range(4)], tch.load_bank(micro_bank)
+
+    def test_records_nothing_under_an_open_tape(self, micro_bank):
+        images, seeds, bank = self._inputs(micro_bank)
+        with T.GradTape() as tape:
+            step_targets(images, seeds, self.CFG, bank)
+        assert len(tape) == 0
+
+    def test_fused_target_matches_per_teacher_oracle(self, micro_bank):
+        images, seeds, bank = self._inputs(micro_bank)
+        student_views, fused = step_targets(images, seeds, self.CFG, bank)
+        pairs = [make_views(img, np.random.default_rng(seed), self.CFG) for img, seed in zip(images, seeds)]
+        teacher_views = np.stack([p.teacher_view for p in pairs])
+        np.testing.assert_array_equal(student_views, np.stack([p.student_view for p in pairs]))
+        want = fusion.fuse_tokens([t.encode_batch(teacher_views).array for t in bank.teachers])
+        np.testing.assert_array_equal(fused, want)
+
+    def test_repeatable_and_leaves_the_bank_untouched(self, micro_bank):
+        images, seeds, bank = self._inputs(micro_bank)
+        digest = tch.bank_digest(bank)
+        first = step_targets(images, seeds, self.CFG, bank)
+        second = step_targets(images, seeds, self.CFG, bank)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+        assert tch.bank_digest(bank) == digest
+
+
+def test_step_targets_is_the_only_caller_of_fusion_and_teacher_forwards():
+    """Inside fusekd, only ``trainer.step_targets`` fuses teacher outputs or
+    runs the bank's forwards, so the frozen side of a step lives in one function."""
+    frozen_side = {"fuse_tokens", "forward_all"}
+    found = []
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("trainer.py", "step_targets"):
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in frozen_side:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"calls outside trainer.step_targets: {found}"
 
 
 class TestTrain:
@@ -590,6 +677,26 @@ class TestLinearProbe:
         labels = np.zeros(10)
         with pytest.raises(ValueError, match="two classes"):
             fit_linear_head(feats, labels, feats, labels, 4)
+
+    @pytest.mark.parametrize(
+        "train_y, test_y, split",
+        [
+            ([0, 1, 2, 3], [0, 1, 0, 1], "train"),
+            ([0, 1, 0, -1], [0, 1, 0, 1], "train"),
+            ([0, 1, 0, 1], [0, 2, 0, 1], "test"),
+        ],
+        ids=["train-above", "train-negative", "test-above"],
+    )
+    def test_labels_outside_the_classes_rejected_before_any_step(
+        self, monkeypatch, train_y, test_y, split
+    ):
+        def refuse(*args):
+            raise AssertionError("Adam step taken before the labels were checked")
+
+        monkeypatch.setattr(optim, "adam_moments", refuse)
+        feats = np.random.default_rng(0).normal(size=(4, 3))
+        with pytest.raises(ValueError, match=rf"probe {split} labels must lie in \[0, 2\)"):
+            fit_linear_head(feats, np.array(train_y), feats, np.array(test_y), 2)
 
     def test_probe_leaves_encoder_untouched(self, micro_data):
         train_ds, test_ds = dat.load_splits(micro_data)
