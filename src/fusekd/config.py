@@ -40,6 +40,15 @@ class TrainConfig:
     def __post_init__(self):
         if not self.teacher_paths:
             raise ValueError("teacher_paths must name at least one teacher")
+        # each text value must come back unchanged from its one key=value line
+        for p in self.teacher_paths:
+            if not p or "," in p:
+                raise ValueError(f"teacher_paths: {p!r} is empty or contains a comma")
+        for key, value in [("dataset", self.dataset), ("out_dir", self.out_dir)] + [
+            ("teacher_paths", p) for p in self.teacher_paths
+        ]:
+            if value != value.strip() or len(value.splitlines()) > 1:
+                raise ValueError(f"{key}: {value!r} has a line break or leading/trailing whitespace")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
         if self.batch_size < 1:

@@ -1,10 +1,11 @@
 """Teacher fusion, the student adapter, and the distillation losses.
 
-Targets built from frozen teachers travel as plain arrays; the student side
-stays on the gradient tape. Fusion is an elementwise SUM over teachers (not
-a mean), so with M teachers the summed logits act like a 1/M temperature.
-The summation order is fixed by array content, which makes fused targets
-bit-exact invariant to the ordering of the teacher list.
+Targets built from frozen teachers travel as plain arrays, which no tape
+records; only the student side, computed from parameters, is recorded.
+Fusion is an elementwise SUM over teachers (not a mean), so with M teachers
+the summed logits act like a 1/M temperature. The summation order is fixed
+by array content, which makes fused targets bit-exact invariant to the
+ordering of the teacher list.
 
 Loss structure, per sample:
   token loss   = mean over all N+1 tokens (class token included) of
@@ -50,9 +51,9 @@ def fuse_tokens(teacher_tokens: list[np.ndarray]) -> np.ndarray:
 
 
 def tokens_to_feature_map(tokens: np.ndarray) -> np.ndarray:
-    """``student_feature_map`` of a plain array, off the tape; read-only."""
-    with T.no_tape():
-        return student_feature_map(Tensor(tokens)).array
+    """``student_feature_map`` of a plain array; read-only. Never recorded:
+    its input is a constant, so no gradient reaches it."""
+    return student_feature_map(Tensor(tokens)).array
 
 
 def student_feature_map(tokens: Tensor) -> Tensor:

@@ -3,8 +3,10 @@
 The primitive set is closed: matmul, linear (matmul plus bias), add/sub/mul,
 scalar scale, GELU, softmax, log-softmax, layer-norm, full-sum, reshape,
 transpose, axis slice and concat. Each primitive carries a hand-derived
-adjoint. Ops record onto the innermost active ``GradTape`` in execution
-order; ``GradTape.gradients`` replays the records in reverse.
+adjoint. An op records onto the innermost open ``GradTape``, in execution
+order, only when a gradient can reach it: some input is a parameter or an
+output that tape recorded. So work on constants and on frozen weights is
+never recorded. ``GradTape.gradients`` replays the records in reverse.
 
 Tensors are immutable once constructed (arrays are flagged read-only);
 parameters are updated only through ``Tensor.assign``, which rebinds the
@@ -15,7 +17,6 @@ forward value is copied for layout, makes every array C-contiguous.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -96,6 +97,8 @@ class GradTape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # ids of recorded outputs; the records keep those tensors, so their ids stay unique
+        self._recorded: set[int] = set()
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -107,14 +110,19 @@ class GradTape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
         self._records.append((out, inputs, backward))
+        self._recorded.add(id(out))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def gradients(self, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
-        """d loss / d params, aligned with ``params``; unused entries are zero."""
+        """d loss / d params, aligned with ``params``; unused entries are zero.
+        Only parameters are traced, so any other entry raises ``ValueError``."""
         if loss.size != 1:
             raise ValueError("gradients requires a scalar loss")
+        for p in params:
+            if not p.parameter:
+                raise ValueError(f"gradients with respect to {p!r}, which is not a parameter")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.array)}
         for out, inputs, backward in reversed(self._records):
             g = grads.pop(id(out), None)
@@ -130,31 +138,17 @@ class GradTape:
         ]
 
 
-def _active_tape() -> GradTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _emit(out_arr: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     if not np.all(np.isfinite(out_arr)):
         # each adjoint is a closure of its primitive: "scale.<locals>.backward"
         op = backward.__qualname__.split(".")[0]
         raise ValueError(f"non-finite output of {op}")
     out = Tensor._wrap(out_arr)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record(out, inputs, backward)
+    if _TAPE_STACK:
+        tape = _TAPE_STACK[-1]
+        if any(t.parameter or id(t) in tape._recorded for t in inputs):
+            tape.record(out, inputs, backward)
     return out
-
-
-@contextmanager
-def no_tape():
-    """Suspend recording (frozen-model forwards)."""
-    saved = _TAPE_STACK[:]
-    _TAPE_STACK.clear()
-    try:
-        yield
-    finally:
-        _TAPE_STACK.extend(saved)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -22,7 +22,6 @@ from . import data as dat
 from . import functional as F
 from . import fusion
 from . import optim
-from . import tensor as T
 from .config import TrainConfig, parse_config, serialize_config
 from .fusion import Adapter
 from .teachers import TeacherBank, load_bank
@@ -115,12 +114,12 @@ def distill_step(
 
     Checked in this order, before any view is built, each raising a plain
     ``ValueError``: the loss mode; a non-empty ``(B, 3, S, S)`` batch for the
-    bank's image size S; one seed per image; the student's resolution and
-    patch size against the bank's; an adapter weight of ``(student width,
-    bank width)``. Then a sample outside [0, 1] raises ``NonFiniteLossError``
-    with its ``batch_index``. Any later ``ValueError`` (a non-finite
-    primitive output or update) raises it with ``batch_index=None``. Nothing
-    is updated on any failure.
+    bank's image size S; one seed per image, each an integer >= 0; the
+    student's resolution and patch size against the bank's; an adapter
+    weight of ``(student width, bank width)``. Then a sample outside [0, 1]
+    raises ``NonFiniteLossError`` with its ``batch_index``. Any later
+    ``ValueError`` (a non-finite primitive output or update) raises it with
+    ``batch_index=None``. Nothing is updated on any failure.
     """
     if loss_mode not in fusion.LOSS_MODES:
         raise ValueError(f"loss_mode must be one of {fusion.LOSS_MODES}")
@@ -129,6 +128,9 @@ def distill_step(
         raise ValueError(f"expected a non-empty (B, 3, {s}, {s}) image batch, got {images.shape}")
     if len(seeds) != images.shape[0]:
         raise ValueError(f"{len(seeds)} view seeds for {images.shape[0]} images")
+    for i, seed in enumerate(seeds):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"view seed {i} is {seed!r}, not an integer >= 0")
     _check_student_fits_bank(student.config, bank)
     width = (student.config.embed_dim, bank.config.embed_dim)
     if adapter.weight.shape != width:
@@ -315,12 +317,13 @@ PROBE_WEIGHT_DECAY = 1e-4  # L2, added to the head's weight gradient
 
 
 def class_token_features(encoder: ViTEncoder, images: np.ndarray) -> np.ndarray:
-    """Frozen-forward class-token embeddings, (n, D)."""
+    """Class-token embeddings, (n, D), of ``encoder``'s forward in chunks of
+    ``PROBE_CHUNK``. Recorded only inside an open tape on a trainable encoder;
+    the probes call it with no tape open."""
     feats = []
-    with T.no_tape():
-        for start in range(0, images.shape[0], PROBE_CHUNK):
-            out = encoder.encode_batch(images[start : start + PROBE_CHUNK])
-            feats.append(out.array[:, 0, :])
+    for start in range(0, images.shape[0], PROBE_CHUNK):
+        out = encoder.encode_batch(images[start : start + PROBE_CHUNK])
+        feats.append(out.array[:, 0, :])
     return np.concatenate(feats, axis=0)
 
 

@@ -2,8 +2,8 @@
 
 Pipeline: patchify -> linear token embedding + class token + learned
 positional embeddings -> L blocks of (x += Attn(LN(x)); x += MLP(LN(x)))
--> final LN over every token. Frozen encoders never record on a tape and
-reject parameter updates.
+-> final LN over every token. A frozen encoder has no parameters, so its
+forward records nothing on a tape, and it rejects parameter updates.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class ViTEncoder:
         return [] if self.frozen else list(self._tensors)
 
     def freeze(self) -> ViTEncoder:
-        """Make this encoder a fixed teacher: no parameters, no tape, no further assigns."""
+        """Make this encoder a fixed teacher: no parameters, so no tape records and no assigns."""
         self.frozen = True
         for t in self._tensors:
             object.__setattr__(t, "parameter", False)
@@ -180,13 +180,6 @@ class ViTEncoder:
         x = T.concat(cls, x, axis=1)
         return T.add(x, self.pos_embed)
 
-    def encode_batch(self, images: np.ndarray) -> Tensor:
-        """(B, 3, H, W) -> (B, N+1, D), final LN applied to every token."""
-        if self.frozen:
-            with T.no_tape():
-                return self._forward(images)
-        return self._forward(images)
-
     def _check_images(self, images: np.ndarray) -> np.ndarray:
         imgs = np.asarray(images, dtype=np.float64)
         s = self.config.image_size
@@ -194,7 +187,8 @@ class ViTEncoder:
             raise ValueError(f"expected (B, 3, {s}, {s}) images, got {imgs.shape}")
         return imgs
 
-    def _forward(self, images: np.ndarray) -> Tensor:
+    def encode_batch(self, images: np.ndarray) -> Tensor:
+        """(B, 3, H, W) -> (B, N+1, D), final LN applied to every token."""
         cfg = self.config
         x = self.embed(images)
         b = x.shape[0]

@@ -106,6 +106,32 @@ class TestRoundTrip:
         text = serialize_config(sample_config()) + "augment.seed=3\n"
         assert parse_config(text) == sample_config()
 
+    def test_inner_spaces_and_equals_signs_round_trip(self):
+        cfg = replace(
+            sample_config(), teacher_paths=("my teachers/a=1.dmtc", "b c.dmtc"),
+            dataset="my data", out_dir="runs/x=1 y",
+        )
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    # case -> config overrides whose text would not re-parse to the same value
+    UNSERIALIZABLE = {
+        "empty-teacher-path": {"teacher_paths": ("a.dmtc", "")},
+        "comma-in-teacher-path": {"teacher_paths": ("t/a,b.dmtc",)},
+        "teacher-path-line-break": {"teacher_paths": ("a.dmtc", "t/a\nb.dmtc")},
+        "teacher-path-leading-space": {"teacher_paths": (" a.dmtc",)},
+        "dataset-line-break": {"dataset": "data\r\nseed=3"},
+        "dataset-leading-space": {"dataset": " data"},
+        "out-dir-line-break": {"out_dir": "runs/x\ny"},
+        "out-dir-line-separator": {"out_dir": "runs/\u2028x"},
+        "out-dir-trailing-space": {"out_dir": "runs/x "},
+    }
+
+    @pytest.mark.parametrize("case", UNSERIALIZABLE)
+    def test_text_that_would_not_reparse_rejected(self, case):
+        (key, value), = self.UNSERIALIZABLE[case].items()
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            replace(sample_config(), **{key: value})
+
 
 class TestParseErrors:
     def test_unknown_key_rejected(self):

@@ -231,13 +231,67 @@ class TestTapeGradients:
 
     def test_frozen_region_records_nothing(self):
         x = Tensor([[1.0, -1.0]], parameter=True)
+        c = Tensor(x.array)  # same values, no parameter: no gradient reaches it
         with GradTape() as tape:
-            with T.no_tape():
-                T.gelu(T.mul(x, x))
+            T.gelu(T.mul(c, c))
             loss = T.sum_all(x)
         assert len(tape) == 1
         (g,) = tape.gradients(loss, [x])
         np.testing.assert_array_equal(g, [[1.0, 1.0]])
+
+
+class TestRecordingRule:
+    """An op records only when some input is a parameter or an output the
+    innermost open tape already recorded."""
+
+    @staticmethod
+    def _frozen(values):
+        t = Tensor(values, parameter=True)
+        object.__setattr__(t, "parameter", False)  # what ViTEncoder.freeze does
+        return t
+
+    def test_constants_and_frozen_weights_record_nothing(self, rng):
+        c = Tensor(rng.normal(size=(3, 4)))
+        w = self._frozen(rng.normal(size=(4, 2)))
+        with GradTape() as tape:
+            h = T.gelu(T.matmul(c, w))
+            T.sum_all(T.softmax(T.add(h, Tensor(np.ones(2)))))
+            T.concat(c, c, axis=0)
+        assert len(tape) == 0
+
+    def test_mixed_op_and_everything_downstream_recorded(self, rng):
+        c = Tensor(rng.normal(size=(3, 4)))
+        p = Tensor(rng.normal(size=(4, 2)), parameter=True)
+        w = self._frozen(rng.normal(size=(2, 2)))
+        with GradTape() as tape:
+            h = T.matmul(c, p)  # constant and parameter: recorded
+            y = T.gelu(T.matmul(h, w))  # recorded input and frozen weight: recorded
+            T.scale(c, 2.0)  # constant only: not recorded
+            loss = T.sum_all(y)
+        ops = [backward.__qualname__.split(".")[0] for _, _, backward in tape._records]
+        assert ops == ["matmul", "matmul", "gelu", "sum_all"]
+        (g,) = tape.gradients(loss, [p])
+        want = c.array.T @ (F.gelu_grad(h.array @ w.array) @ w.array.T)
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+
+    def test_outputs_of_an_outer_tape_do_not_record_on_an_inner_one(self):
+        p = Tensor([[1.0, 2.0]], parameter=True)
+        with GradTape() as outer:
+            h = T.scale(p, 3.0)
+            with GradTape() as inner:
+                T.mul(h, h)  # h is outer's; inner traces back only to its own records
+                T.mul(p, p)
+        assert (len(outer), len(inner)) == (1, 1)
+
+    @pytest.mark.parametrize("kind", ["constant", "frozen", "recorded output"])
+    def test_gradients_wrt_a_non_parameter_raises(self, kind):
+        p = Tensor([[1.0, 2.0]], parameter=True)
+        with GradTape() as tape:
+            h = T.scale(p, 3.0)
+            loss = T.sum_all(T.mul(h, h))
+        other = {"constant": Tensor([[1.0]]), "frozen": self._frozen([[1.0]]), "recorded output": h}[kind]
+        with pytest.raises(ValueError, match="not a parameter"):
+            tape.gradients(loss, [p, other])
 
 
 class TestFusedKernelsMatchUnfused:
@@ -405,6 +459,25 @@ class TestRunGradCheck:
 
         with pytest.raises(ValueError, match="deterministic"):
             run_grad_check(fn, [theta])
+
+
+def test_emit_is_the_only_recording_point():
+    """Inside ``fusekd`` only ``tensor._emit`` calls ``.record(``, and no name
+    ``no_tape`` exists: whether an op is recorded is decided in one place, from
+    its inputs."""
+    found = []
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("tensor.py", "_emit"):
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed and getattr(node.func, "attr", None) == "record":
+                found.append(f"{path.name}:{node.lineno} record")
+            if "no_tape" in {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} no_tape")
+    assert not found, f"recording decided outside tensor._emit: {found}"
 
 
 def test_wrap_is_the_only_forward_copy():

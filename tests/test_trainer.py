@@ -310,6 +310,37 @@ class TestDistillStep:
         assert views == []
         assert state.t == 0
 
+    # case -> (the four view seeds, the message distill_step must raise before any view)
+    BAD_SEEDS = {
+        "negative": ([1, -1, 2, 3], r"view seed 1 is -1, not an integer >= 0"),
+        "float": ([1.5, 2, 3, 4], r"view seed 0 is 1\.5, not an integer >= 0"),
+        "integral-float": ([1, 2, 3, 4.0], r"view seed 3 is 4\.0, not an integer >= 0"),
+        "string": ([1, 2, "3", 4], r"view seed 2 is '3', not an integer >= 0"),
+        "none": ([None, 2, 3, 4], r"view seed 0 is None, not an integer >= 0"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_SEEDS)
+    def test_bad_view_seed_rejected_before_any_view(self, micro_bank, monkeypatch, case):
+        bank, student, adapter, state = self._setup(micro_bank)
+        views = []
+        monkeypatch.setattr(trainer.aug, "make_views", lambda *args: views.append(args))
+        images = dat.generate(4, seed=3).float_images()
+        seeds, message = self.BAD_SEEDS[case]
+        with pytest.raises(ValueError, match=message) as exc_info:
+            distill_step(images, seeds, AugmentConfig(), bank, student, adapter, state, 1e-3)
+        assert type(exc_info.value) is ValueError
+        assert views == []
+        assert state.t == 0
+
+    def test_numpy_integer_seeds_step_like_ints(self, micro_bank):
+        images = dat.generate(4, seed=3).float_images()
+        seeds = [sample_seed(1, i) for i in range(4)]
+        losses = []
+        for given in (seeds, list(np.array(seeds, dtype=np.uint64))):
+            bank, student, adapter, state = self._setup(micro_bank)
+            losses.append(distill_step(images, given, AugmentConfig(), bank, student, adapter, state, 1e-3))
+        assert losses[0] == losses[1]
+
     # case -> the message distill_step must raise, before any view is built
     BAD_SHAPES = {
         "empty-batch": r"non-empty \(B, 3, 16, 16\) image batch, got \(0, 3, 16, 16\)",
