@@ -3,7 +3,7 @@
 One geometric transform (crop box + flip flag) is sampled per image and
 applied to BOTH views so that token n looks at the same region in the
 teacher and student networks; photometric jitter is applied to the student
-view only. Images are (3, H, W) float64 in [0, 1].
+view only. Images are square, (3, S, S) float64 in [0, 1].
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ class ViewPair:
 
 def _check_image(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ValueError(f"expected (3, H, W) image, got {img.shape}")
-    if img.shape[1] < 2 or img.shape[2] < 2:
+    if img.ndim != 3 or img.shape[0] != 3 or img.shape[1] != img.shape[2]:
+        raise ValueError(f"expected a square (3, S, S) image, got {img.shape}")
+    if img.shape[1] < 2:
         raise ValueError("degenerate source image (smaller than 2x2)")
     return img
 
@@ -56,33 +56,22 @@ RATIO_RANGE = (3.0 / 4.0, 4.0 / 3.0)  # crop aspect (w / h) bounds
 
 
 def sample_crop_box(
-    height: int, width: int, rng: np.random.Generator, scale_range: tuple[float, float]
+    size: int, rng: np.random.Generator, scale_range: tuple[float, float]
 ) -> tuple[int, int, int, int]:
-    """Sample (top, left, h, w): area fraction from scale_range, aspect
-    log-uniform from RATIO_RANGE, 10 attempts then a clamped center fallback."""
-    lo_ratio, hi_ratio = RATIO_RANGE
-    area = height * width
-    log_lo, log_hi = math.log(lo_ratio), math.log(hi_ratio)
+    """Sample (top, left, h, w) in a size x size image: area fraction from
+    scale_range, aspect log-uniform from RATIO_RANGE, 10 attempts, then the
+    whole image (whose aspect 1 lies in RATIO_RANGE)."""
+    log_lo, log_hi = (math.log(r) for r in RATIO_RANGE)
     for _ in range(10):
-        target_area = area * rng.uniform(scale_range[0], scale_range[1])
+        target_area = size * size * rng.uniform(scale_range[0], scale_range[1])
         aspect = math.exp(rng.uniform(log_lo, log_hi))
         w = int(round(math.sqrt(target_area * aspect)))
         h = int(round(math.sqrt(target_area / aspect)))
-        if 0 < w <= width and 0 < h <= height:
-            top = int(rng.integers(0, height - h + 1))
-            left = int(rng.integers(0, width - w + 1))
+        if 0 < w <= size and 0 < h <= size:
+            top = int(rng.integers(0, size - h + 1))
+            left = int(rng.integers(0, size - w + 1))
             return (top, left, h, w)
-    # fallback: largest crop at the nearest in-range aspect, centered
-    in_ratio = width / height
-    if in_ratio < lo_ratio:
-        w = width
-        h = min(height, int(round(w / lo_ratio)))
-    elif in_ratio > hi_ratio:
-        h = height
-        w = min(width, int(round(h * hi_ratio)))
-    else:
-        w, h = width, height
-    return ((height - h) // 2, (width - w) // 2, h, w)
+    return (0, 0, size, size)
 
 
 @lru_cache(maxsize=1024)
@@ -179,13 +168,11 @@ def sample_jitter(
 def make_views(image: np.ndarray, rng: np.random.Generator, config: AugmentConfig) -> ViewPair:
     """Shared crop + flip for both views; jitter on the student view only."""
     img = _check_image(image)
-    out_size = img.shape[1]
-    box = sample_crop_box(
-        img.shape[1], img.shape[2], rng, (config.scale_min, config.scale_max)
-    )
+    size = img.shape[1]
+    box = sample_crop_box(size, rng, (config.scale_min, config.scale_max))
     flip = bool(rng.random() < config.flip_prob)
     order, factors = sample_jitter(
         rng, (config.brightness, config.contrast, config.saturation)
     )
-    shared = _crop_resize(img, box, out_size, out_size, flip)
+    shared = _crop_resize(img, box, size, size, flip)
     return ViewPair(teacher_view=shared, student_view=apply_jitter(shared, order, factors))

@@ -146,7 +146,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise TruncatedError(
                 f"{path}: tensor {name} declares {count} values past end of payload"
             )
-        tensors[name] = np.frombuffer(payload, _F64, count, offset).reshape(shape).astype(np.float64)
+        try:  # a zero count lets shapes numpy cannot hold, such as [0, 2**63], past the check above
+            tensors[name] = np.frombuffer(payload, _F64, count, offset).reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise MetadataError(f"{path}: tensor {name}: shape {shape} is not an array numpy can hold") from exc
     if end != len(payload):
         raise MetadataError(f"{path}: payload bytes {end}..{len(payload)} belong to no tensor")
     return tensors, meta

@@ -137,7 +137,7 @@ def train_masked_reconstruction(
             mask[row, rng.choice(n_patches, n_masked, replace=False)] = True
         corrupted = patches.copy()
         corrupted[mask] = 0.0
-        tokens = enc.encode_batch(unpatchify(corrupted, config.patch_size, config.image_size))
+        tokens = enc.encode_batch(unpatchify(corrupted, config.patch_size))
         diff = T.sub(head.project(T.slice_axis(tokens, 1, 1, n_patches + 1)), Tensor(patches))
         sq = T.mul(T.mul(diff, diff), Tensor(mask[..., None].astype(np.float64)))
         return T.scale(T.sum_all(sq), 1.0 / (mask.sum() * pd))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,6 +30,10 @@ class ViTConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        for f in fields(self):  # first: 32.0 and True pass every comparison below
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         # depth 0 is a degenerate config kept legal for testing (encode == final LN of embed)
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
@@ -55,31 +59,31 @@ class ViTConfig:
 
 
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """(..., 3, H, W) -> (..., N, 3*p*p).
+    """(..., 3, S, S) -> (..., N, 3*p*p) with N = (S / p)**2.
 
     Patches are ordered row-major over the grid; within a patch the layout is
     channel-major, then row-major pixels. Lossless (see ``unpatchify``).
     """
     imgs = np.asarray(images, dtype=np.float64)
-    h, w = imgs.shape[-2], imgs.shape[-1]
+    h, s = imgs.shape[-2], imgs.shape[-1]
     p = patch_size
-    if h % p != 0 or w % p != 0:
-        raise ValueError(f"image {h}x{w} not divisible by patch size {p}")
-    gh, gw = h // p, w // p
+    if h != s or s % p != 0:
+        raise ValueError(f"image {h}x{s} is not square or not divisible by patch size {p}")
+    g = s // p
     lead = imgs.shape[:-3]
-    x = imgs.reshape(lead + (3, gh, p, gw, p))
-    x = np.moveaxis(x, (-4, -2), (-5, -4))  # -> (..., gh, gw, 3, p, p)
-    return np.ascontiguousarray(x.reshape(lead + (gh * gw, 3 * p * p)))
+    x = imgs.reshape(lead + (3, g, p, g, p))
+    x = np.moveaxis(x, (-4, -2), (-5, -4))  # -> (..., g, g, 3, p, p)
+    return np.ascontiguousarray(x.reshape(lead + (g * g, 3 * p * p)))
 
 
-def unpatchify(patches: np.ndarray, patch_size: int, image_size: int) -> np.ndarray:
-    """Inverse of ``patchify`` for square images."""
+def unpatchify(patches: np.ndarray, patch_size: int) -> np.ndarray:
+    """Inverse of ``patchify``; the grid side is the square root of N."""
     p = patch_size
-    g = image_size // p
+    g = math.isqrt(patches.shape[-2])
     lead = patches.shape[:-2]
     x = patches.reshape(lead + (g, g, 3, p, p))
-    x = np.moveaxis(x, (-5, -4), (-4, -2))  # (..., gh, gw, 3, p, p) -> (..., 3, gh, p, gw, p)
-    return np.ascontiguousarray(x.reshape(lead + (3, image_size, image_size)))
+    x = np.moveaxis(x, (-5, -4), (-4, -2))  # (..., g, g, 3, p, p) -> (..., 3, g, p, g, p)
+    return np.ascontiguousarray(x.reshape(lead + (3, g * p, g * p)))
 
 
 def param_table(config: ViTConfig) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
@@ -168,7 +172,7 @@ class ViTEncoder:
         return self
 
     def embed(self, images: np.ndarray) -> Tensor:
-        """(B, 3, H, W) -> token matrix (B, N+1, D); row 0 is cls + pos0."""
+        """(B, 3, S, S) -> token matrix (B, N+1, D); row 0 is cls + pos0."""
         imgs = self._check_images(images)
         b = imgs.shape[0]
         d = self.config.embed_dim
@@ -188,7 +192,7 @@ class ViTEncoder:
         return imgs
 
     def encode_batch(self, images: np.ndarray) -> Tensor:
-        """(B, 3, H, W) -> (B, N+1, D), final LN applied to every token."""
+        """(B, 3, S, S) -> (B, N+1, D), final LN applied to every token."""
         cfg = self.config
         x = self.embed(images)
         b = x.shape[0]

@@ -68,7 +68,7 @@ def bilinear_resize_naive(image, out_h, out_w):
     return out
 
 
-def view_draws(height, width, rng, config):
+def view_draws(size, rng, config):
     """The (crop box, flip, jitter order, jitter factors) that ``make_views`` draws from ``rng``.
 
     Replays its draws in its order through the library's samplers, which
@@ -76,7 +76,7 @@ def view_draws(height, width, rng, config):
     """
     from fusekd import augment as aug
 
-    box = aug.sample_crop_box(height, width, rng, (config.scale_min, config.scale_max))
+    box = aug.sample_crop_box(size, rng, (config.scale_min, config.scale_max))
     flip = bool(rng.random() < config.flip_prob)
     order, factors = aug.sample_jitter(rng, (config.brightness, config.contrast, config.saturation))
     return box, flip, order, factors

@@ -23,14 +23,14 @@ class TestRandomResizedCrop:
         # at scale 1 every in-range aspect either rounds to the full square or overflows
         img = ramp_image(16, 16)
         cfg = AugmentConfig(scale_min=1.0, flip_prob=0.0)
-        box, _, _, _ = oracles.view_draws(16, 16, copy.deepcopy(rng), cfg)
+        box, _, _, _ = oracles.view_draws(16, copy.deepcopy(rng), cfg)
         pair = aug.make_views(img, rng, cfg)
         assert box == (0, 0, 16, 16)
         np.testing.assert_allclose(pair.teacher_view, img, atol=1e-6, rtol=0)
 
     def test_golden_crop_box_seed0(self):
         rng = np.random.default_rng(0)
-        box = aug.sample_crop_box(8, 8, rng, (0.2, 1.0))
+        box = aug.sample_crop_box(8, rng, (0.2, 1.0))
         assert box == (0, 0, 7, 6)  # frozen golden
 
     def test_same_rng_state_same_output(self):
@@ -40,8 +40,10 @@ class TestRandomResizedCrop:
         np.testing.assert_array_equal(a.teacher_view, b.teacher_view)
 
     def test_degenerate_source_errors(self, rng):
-        with pytest.raises(ValueError):
-            aug.make_views(np.zeros((3, 1, 4)), rng, AugmentConfig(scale_min=0.5))
+        # too small, or not square: a (3, 8, 16) image must not come back as (3, 8, 8) views
+        for shape in [(3, 1, 1), (3, 1, 4), (3, 8, 16), (3, 16, 8), (1, 8, 8)]:
+            with pytest.raises(ValueError):
+                aug.make_views(np.zeros(shape), rng, AugmentConfig(scale_min=0.5))
 
     def test_output_range(self, rng):
         img = rng.random((3, 16, 16))
@@ -95,7 +97,7 @@ class TestResizeMatchesLoopOracle:
         img = rng.random((3, 16, 16))
         for seed in range(50):
             pair = aug.make_views(img, np.random.default_rng(seed), AugmentConfig())
-            box, flip, _, _ = oracles.view_draws(16, 16, np.random.default_rng(seed), AugmentConfig())
+            box, flip, _, _ = oracles.view_draws(16, np.random.default_rng(seed), AugmentConfig())
             top, left, h, w = box
             crop = img[:, top : top + h, left : left + w]
             want = np.array(oracles.bilinear_resize_naive(crop.tolist(), 16, 16))
@@ -176,7 +178,7 @@ class TestMakeViews:
         cfg = AugmentConfig()
         for seed in range(100):
             pair = aug.make_views(img, np.random.default_rng(seed), cfg)
-            box, flip, order, factors = oracles.view_draws(16, 16, np.random.default_rng(seed), cfg)
+            box, flip, order, factors = oracles.view_draws(16, np.random.default_rng(seed), cfg)
             # the draws fully reproduce both views from the source image
             top, left, h, w = box
             crop = img[:, top : top + h, left : left + w]
@@ -199,7 +201,7 @@ class TestMakeViews:
     def test_golden_pair_seed0(self):
         # frozen from seed 0 on the 3x16x16 ramp image
         pair = aug.make_views(ramp_image(16, 16), np.random.default_rng(0), AugmentConfig())
-        box, flip, order, factors = oracles.view_draws(16, 16, np.random.default_rng(0), AugmentConfig())
+        box, flip, order, factors = oracles.view_draws(16, np.random.default_rng(0), AugmentConfig())
         assert box == (0, 0, 14, 13)
         assert flip is True
         assert order == ("contrast", "saturation", "brightness")

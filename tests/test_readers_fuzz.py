@@ -23,6 +23,8 @@ NAN = struct.pack("<d", float("nan"))
 TRAILING = (b"\0", b"\0" * 8, NAN)  # bytes appended after the last payload
 DEPTH = 100_000  # far past the interpreter's recursion limit
 HUGE = 10**12  # so wide that numpy refuses the array at once rather than allocating it
+# shapes written over each tensor entry in turn; a zero count passes the size check
+SHAPES = ([0, 2**63], [0] * 70, [-1], [2.0], [True], [])
 
 
 def _with_metadata(raw: bytes, md: bytes) -> bytes:
@@ -40,6 +42,17 @@ def _nan_slots(raw: bytes, header_len: int):
     """(label, bytes) with a NaN written over each 8-byte payload slot in turn."""
     for off in range(header_len, len(raw) - 7, 8):
         yield f"NaN at payload byte {off - header_len}", raw[:off] + NAN + raw[off + 8 :]
+
+
+def _shape_mutants(raw: bytes):
+    """(label, bytes) with each of ``SHAPES`` written over each tensor entry's shape in turn."""
+    doc = json.loads(raw[16 : _header_len(raw)])
+    for entry in doc["tensors"]:
+        kept = entry["shape"]
+        for shape in SHAPES:
+            entry["shape"] = shape
+            yield f"{entry['name']} shape {str(shape)[:20]}", _with_metadata(raw, json.dumps(doc).encode())
+        entry["shape"] = kept
 
 
 def _mutants(raw: bytes, header_len: int, rng: np.random.Generator, payload_slots: bool):
@@ -103,6 +116,25 @@ def _huge_train(path):
     ckpt.save_checkpoint(path, {}, meta=meta)
 
 
+def _float_width_teacher(path):
+    """A clean teacher whose config gives its width as a float."""
+    _teacher_file(path)
+    tensors, meta = ckpt.load_checkpoint(path)
+    meta["config"]["embed_dim"] = float(TINY.embed_dim)
+    ckpt.save_checkpoint(path, tensors, meta=meta)
+
+
+def _shaped(shape):
+    """A file of one empty tensor whose entry declares ``shape``."""
+    def build(path):
+        ckpt.save_checkpoint(path, {"x": np.zeros(0)})
+        raw = path.read_bytes()
+        doc = json.loads(raw[16 : _header_len(raw)])
+        doc["tensors"][0]["shape"] = shape
+        path.write_bytes(_with_metadata(raw, json.dumps(doc).encode()))
+    return build
+
+
 def _reversed_teacher(path):
     """A clean teacher whose tensor table lists the payloads last to first."""
     raw = _teacher_file(path)
@@ -122,10 +154,14 @@ def _reversed_teacher(path):
         (tch.load_teacher, _huge_teacher),
         (trainer.load_train_checkpoint, _huge_train),
         (tch.load_teacher, _reversed_teacher),
+        (tch.load_teacher, _float_width_teacher),
+        (ckpt.load_checkpoint, _shaped([0, 2**63])),
+        (ckpt.load_checkpoint, _shaped([0] * 70)),
     ],
     ids=[
         "teacher+junk", "teacher+b7.qkv_w", "train+junk", "train+opt.m.junk",
         "train+student.b7.qkv_w", "teacher-1e12-wide", "train-1e12-wide", "teacher-reversed-table",
+        "teacher-float-width", "shape-0x2**63", "shape-70-zero-dims",
     ],
 )
 def test_loaders_reject_what_their_writer_does_not_write(tmp_path, load, build):
@@ -158,6 +194,7 @@ def test_malformed_files_raise_only_typed_errors(tmp_path):
         mutants = list(_mutants(raw, header_len, rng, payload_slots=is_dmtc))
         if is_dmtc:
             mutants.append(("metadata nested 100,000 deep", _with_metadata(raw, deep)))
+            mutants += list(_shape_mutants(raw))
         p = tmp_path / f"mutant-{name}"
         for label, data in mutants:
             p.write_bytes(data)

@@ -34,6 +34,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ViTConfig(**{**base, **kwargs})
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(embed_dim=8.0), "embed_dim"),
+            (dict(image_size=16.0), "image_size"),
+            (dict(depth=True), "depth"),
+            (dict(num_heads=True), "num_heads"),
+            (dict(patch_size="4"), "patch_size"),
+            (dict(mlp_ratio=None), "mlp_ratio"),
+        ],
+        ids=["width-float", "image-float", "depth-bool", "heads-bool", "patch-str", "mlp-none"],
+    )
+    def test_non_integer_sizes_rejected(self, kwargs, field):
+        # 8.0 and True compare and divide like 8 and 1, so only the type check catches them
+        base = dict(image_size=16, patch_size=4, depth=1, embed_dim=8, num_heads=2)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ViTConfig(**{**base, **kwargs})
+
 
 class TestPatchify:
     def test_vitb_shape(self):
@@ -49,7 +67,7 @@ class TestPatchify:
 
     def test_round_trip_bit_exact(self, rng):
         img = rng.random((3, 32, 32))
-        np.testing.assert_array_equal(unpatchify(patchify(img, 8), 8, 32), img)
+        np.testing.assert_array_equal(unpatchify(patchify(img, 8), 8), img)
 
     def test_patch_ordering(self, rng):
         img = rng.random((3, 8, 8))
@@ -60,6 +78,11 @@ class TestPatchify:
     def test_indivisible_errors(self):
         with pytest.raises(ValueError):
             patchify(np.zeros((3, 10, 10)), 4)
+
+    def test_non_square_errors(self):
+        for shape in [(3, 8, 16), (2, 3, 16, 8)]:
+            with pytest.raises(ValueError, match="not square"):
+                patchify(np.zeros(shape), 4)
 
 
 class TestEmbed:
