@@ -38,6 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _subsets(text: str) -> list[tuple[int, ...]]:
+    """``'0;1;0,1'`` -> ``[(0,), (1,), (0, 1)]``; index ranges are checked by the sweep."""
+    parts = [part for part in text.split(";") if part.strip()]
+    try:
+        subsets = [tuple(int(i) for i in part.split(",") if i != "") for part in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not ';'-separated lists of integers") from None
+    if not subsets or not all(subsets):
+        raise argparse.ArgumentTypeError(f"{text!r}: each subset needs a teacher index")
+    return subsets
+
+
 def _build_parser() -> _Parser:
     # parent parsers: each option shared by several commands is declared once
     seeded = argparse.ArgumentParser(add_help=False)  # commands that draw random numbers
@@ -84,6 +96,7 @@ def _build_parser() -> _Parser:
     )
     st.add_argument(
         "--subsets",
+        type=_subsets,
         default=None,
         help="semicolon-separated index tuples, e.g. '0;1;2;0,1;0,1,2' (default: all non-empty)",
     )
@@ -156,12 +169,8 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep_teachers(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     m = len(cfg.teacher_paths)
-    if args.subsets:
-        subsets = [
-            tuple(int(i) for i in part.split(",") if i != "")
-            for part in args.subsets.split(";")
-            if part.strip()
-        ]
+    if args.subsets is not None:
+        subsets = args.subsets
     else:  # all non-empty subsets, singletons first
         subsets = []
         for size in range(1, m + 1):

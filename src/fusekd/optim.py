@@ -49,9 +49,13 @@ def init_adamw(params: list[Tensor], weight_decay: float = 0.05) -> AdamWState:
 
 def adam_moments(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int):
     """Adam's step-``t`` moments: ``(m, v, m_hat, denom)``, ``denom = sqrt(v_hat) + eps``."""
-    m = BETA1 * m + (1.0 - BETA1) * g
-    v = BETA2 * v + (1.0 - BETA2) * g * g
-    return m, v, m / (1.0 - BETA1**t), np.sqrt(v / (1.0 - BETA2**t)) + EPS
+    m = BETA1 * m
+    m += (1.0 - BETA1) * g
+    v = BETA2 * v
+    v += (1.0 - BETA2) * g * g
+    denom = np.sqrt(v / (1.0 - BETA2**t))
+    denom += EPS
+    return m, v, m / (1.0 - BETA1**t), denom
 
 
 def adamw_step(
@@ -70,22 +74,27 @@ def adamw_step(
     for p, g in zip(params, grads):
         if g.shape != p.shape:
             raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for {p.name!r}")
     t = state.t + 1
     updates = []
     for i, (p, g) in enumerate(zip(params, grads)):
         m, v, m_hat, denom = adam_moments(state.m[i], state.v[i], g, t)
         wd = state.weight_decay if state.decay[i] else 0.0
-        new = p.array - lr * (m_hat / denom + wd * p.array)
+        step = m_hat  # lr * (m_hat / denom + wd * theta), built in m_hat's buffer
+        step /= denom
+        step += wd * p.array
+        step *= lr
+        # fresh, C-contiguous f64 of p's shape; asarray turns a 0-d result back into an array
+        new = np.asarray(p.array - step)
         # an overflowing update must not be half applied: check all, then commit
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
+        if not (np.isfinite(m).all() and np.isfinite(v).all() and np.isfinite(new).all()):
             raise ValueError(f"non-finite update for {p.name!r}")
         updates.append((m, v, new))
     for i, (p, (m, v, new)) in enumerate(zip(params, updates)):
         state.m[i] = m
         state.v[i] = v
-        p.assign(new)
+        p._commit(new)  # validated above: no copy, no second scan
     state.t = t
     return state
 

@@ -1,18 +1,25 @@
 """Dense float64 tensors and tape-based reverse-mode differentiation.
 
 The primitive set is closed: matmul, linear (matmul plus bias), add/sub/mul,
-scalar scale, GELU, softmax, log-softmax, layer-norm, full-sum, reshape,
-transpose, axis slice and concat. Each primitive carries a hand-derived
-adjoint. An op records onto the innermost open ``GradTape``, in execution
-order, only when a gradient can reach it: some input is a parameter or an
-output that tape recorded. So work on constants and on frozen weights is
-never recorded. ``GradTape.gradients`` replays the records in reverse.
+scalar scale, GELU, softmax, log-softmax, KL against a constant target
+(``kl_vs_constant``), layer-norm, full-sum, reshape, transpose, axis slice
+and concat. Each primitive carries a hand-derived adjoint. An op records onto
+the innermost open ``GradTape``, in execution order, only when a gradient can
+reach it: some input is a parameter or an output that tape recorded. So work
+on constants and on frozen weights is never recorded. ``GradTape.gradients``
+replays the records in reverse.
+
+Finiteness is checked where arithmetic can break it: arithmetic primitives
+scan their output, layout primitives (reshape, transpose, slice, concat) only
+move values of finite tensors and skip the scan, and kernels called on a
+``Tensor``'s array trust it to be finite.
 
 Tensors are immutable once constructed (arrays are flagged read-only);
-parameters are updated only through ``Tensor.assign``, which rebinds the
-backing array rather than writing through views. So an output may be a view
-sharing its input's read-only memory, and ``Tensor._wrap``, the one place a
-forward value is copied for layout, makes every array C-contiguous.
+parameters are updated only through ``Tensor.assign``, or the trusted commit
+of ``optim.adamw_step``, which rebind the backing array rather than writing
+through views. So an output may be a view sharing its input's read-only
+memory, and ``Tensor._wrap``, the one place a forward value is copied for
+layout, makes every array C-contiguous.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ class Tensor:
 
     def __init__(self, data, parameter: bool = False, name: str | None = None):
         arr = np.array(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values in tensor {name or ''!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
@@ -64,8 +71,14 @@ class Tensor:
         arr = np.array(data, dtype=np.float64, order="C")
         if arr.shape != self.array.shape:
             raise ValueError(f"tensor {self.name!r}: shape {arr.shape} != {self.array.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values assigned to {self.name!r}")
+        self._commit(arr)
+
+    def _commit(self, arr: np.ndarray) -> None:
+        # Trusted update path: the caller has checked that ``arr`` is a finite,
+        # C-contiguous f64 array of this shape that nothing else writes to, so
+        # it is frozen in place, neither copied nor scanned again.
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
@@ -138,8 +151,11 @@ class GradTape:
         ]
 
 
-def _emit(out_arr: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
-    if not np.all(np.isfinite(out_arr)):
+def _emit(
+    out_arr: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable, scan: bool = True
+) -> Tensor:
+    # scan=False only for layout primitives, whose outputs are values of finite inputs
+    if scan and not np.isfinite(out_arr).all():
         # each adjoint is a closure of its primitive: "scale.<locals>.backward"
         op = backward.__qualname__.split(".")[0]
         raise ValueError(f"non-finite output of {op}")
@@ -235,31 +251,37 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     # erf is most of GELU's cost; the adjoint reuses the forward's
-    e = F.gelu_erf(a.array)
+    e1 = F.gelu_one_plus_erf(a.array)
 
     def backward(g):
-        return (g * F.gelu_grad_from_erf(a.array, e),)
+        d = F.gelu_grad_from_erf(a.array, e1)
+        d *= g
+        return (d,)
 
-    return _emit(F.gelu_from_erf(a.array, e), (a,), backward)
+    return _emit(F.gelu_from_erf(a.array, e1), (a,), backward)
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    y = F.softmax(a.array)
+    y = F.softmax_kernel(a.array)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        d = g * y  # y * (g - rowsum(g * y)), built in the product's buffer
+        np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+        d *= y
+        return (d,)
 
     return _emit(y, (a,), backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    y = F.log_softmax(a.array)
+    y = F.log_softmax_kernel(a.array)
     p = np.exp(y)
 
     def backward(g):
-        return (g - p * g.sum(axis=-1, keepdims=True),)
+        d = p * g.sum(axis=-1, keepdims=True)
+        np.subtract(g, d, out=d)
+        return (d,)
 
     return _emit(y, (a,), backward)
 
@@ -273,18 +295,21 @@ def kl_vs_constant(a: Tensor, target_logits: np.ndarray) -> Tensor:
     softmax/log-softmax route leaves ~1e-16 gradient noise there, which the
     optimizer's eps-normalization would amplify into real parameter drift.
     """
-    lp = F.log_softmax(a.array)
-    lq = F.log_softmax(np.asarray(target_logits, dtype=np.float64))
+    lp = F.log_softmax_kernel(a.array)
+    lq = F.log_softmax(target_logits)  # only the plain-array target is scanned
     if lp.shape != lq.shape:
         raise ValueError(f"shape mismatch: {lp.shape} vs {lq.shape}")
     p = np.exp(lp)
-    diff = lp - lq
-    weighted = p * diff
+    weighted = lp  # lp is not kept: lp - lq, then p * (lp - lq), in its buffer
+    weighted -= lq
+    weighted *= p
     out = np.array(weighted.sum()).reshape(())
 
     def backward(g):
-        row = weighted.sum(axis=-1, keepdims=True)
-        return (g.reshape(()) * (weighted - p * row),)
+        d = p * weighted.sum(axis=-1, keepdims=True)
+        np.subtract(weighted, d, out=d)
+        d *= g.reshape(())
+        return (d,)
 
     return _emit(out, (a,), backward)
 
@@ -295,24 +320,32 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     d = x.shape[-1]
     if d < 2:
         raise ValueError("layer_norm needs at least 2 features")
-    mu = x.mean(axis=-1, keepdims=True)
+    # ufunc reductions divided by d: the bits of ndarray.mean, without its Python wrapper
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
     xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv
-    out = gamma.array * xn + beta.array
+    out = xc**2
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xn = xc  # the adjoint keeps xn, not xc; the squares' buffer takes the output
+    xn *= inv
+    np.multiply(gamma.array, xn, out=out)
+    out += beta.array
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         dgamma = (g * xn).sum(axis=lead) if lead else g * xn
         dbeta = g.sum(axis=lead) if lead else g.copy()
+        # dx = inv * (gh - mean(gh) - xn * mean(gh * xn)), built in gh's buffer
         gh = g * gamma.array
-        dx = inv * (
-            gh
-            - gh.mean(axis=-1, keepdims=True)
-            - xn * (gh * xn).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgamma.reshape(gamma.shape), dbeta.reshape(beta.shape)
+        t = gh * xn
+        np.multiply(xn, t.mean(axis=-1, keepdims=True), out=t)
+        gh -= gh.mean(axis=-1, keepdims=True)
+        gh -= t
+        gh *= inv
+        return gh, dgamma.reshape(gamma.shape), dbeta.reshape(beta.shape)
 
     return _emit(out, (a, gamma, beta), backward)
 
@@ -328,16 +361,14 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g):
         return (g.reshape(a.shape),)
 
-    return _emit(a.array.reshape(shape), (a,), backward)
+    return _emit(a.array.reshape(shape), (a,), backward, scan=False)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(np.argsort(axes))
-
     def backward(g):
-        return (np.ascontiguousarray(g.transpose(inv)),)
+        return (np.ascontiguousarray(g.transpose(np.argsort(axes))),)
 
-    return _emit(a.array.transpose(axes), (a,), backward)
+    return _emit(a.array.transpose(axes), (a,), backward, scan=False)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -350,7 +381,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _emit(a.array[idx], (a,), backward)
+    return _emit(a.array[idx], (a,), backward, scan=False)
 
 
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -360,7 +391,7 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
         ga, gb = np.split(g, [split], axis=axis)
         return np.ascontiguousarray(ga), np.ascontiguousarray(gb)
 
-    return _emit(np.concatenate([a.array, b.array], axis=axis), (a, b), backward)
+    return _emit(np.concatenate([a.array, b.array], axis=axis), (a, b), backward, scan=False)
 
 
 # ------------------------------------------------------------ gradient check

@@ -335,6 +335,19 @@ class TestSweepTeachers:
         assert "Traceback" not in err
         assert not (tmp_path / "sw").exists()
 
+    @pytest.mark.parametrize("subsets", ["0;a", "1.5", ";", "", "0;,"])
+    def test_malformed_subsets_are_usage_errors(self, tmp_path, capsys, subsets):
+        # rejected while parsing: a missing config would otherwise be a runtime error (2)
+        cfg = tmp_path / "missing.cfg"
+        assert main(["sweep-teachers", "--config", str(cfg), "--subsets", subsets]) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "--subsets" in err
+        assert "Traceback" not in err
+
+    def test_subsets_parse_to_index_tuples(self):
+        args = _build_parser().parse_args(["sweep-teachers", "--config", "c", "--subsets", "0;1,2;;0,,2"])
+        assert args.subsets == [(0,), (1, 2), (0, 2)]
+
 
 class TestSweepLosses:
     def test_probe_epochs_below_one_exit_2_before_any_run(self, cli_env, tmp_path, capsys):

@@ -62,6 +62,22 @@ class TestAdamWStep:
             np.testing.assert_array_equal(moment, 0.0)
         assert state.t == 0
 
+    def test_update_keeps_tensor_invariants(self, rng):
+        # adamw_step commits its own arrays without Tensor.assign's copy
+        shapes = [(3, 4), (5,), (2, 1, 3), ()]
+        params = [
+            Tensor(rng.normal(size=s), parameter=True, name=f"p{i}") for i, s in enumerate(shapes)
+        ]
+        state = init_adamw(params)
+        for _ in range(2):
+            adamw_step(params, [rng.normal(size=s) for s in shapes], state, lr=1e-2)
+            for p, shape in zip(params, shapes):
+                a = p.array
+                assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == shape
+                assert a.flags.c_contiguous and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+
     def test_pure_decoupled_decay(self):
         p = make_param(1.0)
         state = init_adamw([p], weight_decay=0.05)

@@ -29,9 +29,26 @@ class TestTensorContainer:
         with pytest.raises(ValueError, match="non-finite"):
             Tensor([np.inf, 0.0])
 
-    def test_non_finite_primitive_output_names_the_op(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale"):
-            T.scale(Tensor([1e308]), 10.0)
+    OVERFLOWS = {
+        "add": lambda: T.add(Tensor([1e308]), Tensor([1e308])),
+        "sub": lambda: T.sub(Tensor([1e308]), Tensor([-1e308])),
+        "mul": lambda: T.mul(Tensor([1e308]), Tensor([10.0])),
+        "scale": lambda: T.scale(Tensor([1e308]), 10.0),
+        "matmul": lambda: T.matmul(Tensor([[1e308, 1e308]]), Tensor([[1.0], [1.0]])),
+        "linear": lambda: T.linear(Tensor([[1e308]]), Tensor([[10.0]]), Tensor([0.0])),
+        "sum_all": lambda: T.sum_all(Tensor([1e308, 1e308])),
+        "layer_norm": lambda: T.layer_norm(Tensor([[1e308, 1e308]]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0])),
+        "log_softmax": lambda: T.log_softmax(Tensor([1e308, -1e308])),
+        "kl_vs_constant": lambda: T.kl_vs_constant(Tensor([1e308, -1e308]), np.zeros(2)),
+    }
+
+    @pytest.mark.parametrize("op", list(OVERFLOWS))
+    def test_non_finite_primitive_output_names_the_op(self, op):
+        # finite inputs whose arithmetic overflows: the primitive's own scan fires
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=f"^non-finite output of {op}$"
+        ):
+            self.OVERFLOWS[op]()
 
     def test_immutable_once_constructed(self):
         t = Tensor([1.0, 2.0])
@@ -478,6 +495,24 @@ def test_emit_is_the_only_recording_point():
             if "no_tape" in {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} no_tape")
     assert not found, f"recording decided outside tensor._emit: {found}"
+
+
+def test_only_layout_primitives_skip_the_output_scan():
+    """A primitive skips ``_emit``'s finiteness scan (``scan=False``) only if it
+    just moves values of finite tensors: reshape, transpose, slice_axis, concat."""
+    tree = ast.parse(Path(T.__file__).read_text())
+    skipping = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for c in ast.walk(fn):
+            if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_emit":
+                scan = [k.value for k in c.keywords if k.arg == "scan"]
+                assert len(c.args) == 3, f"{fn.name}: scan must be passed by keyword"
+                if scan:
+                    assert isinstance(scan[0], ast.Constant) and scan[0].value is False, fn.name
+                    skipping.add(fn.name)
+    assert skipping == {"reshape", "transpose", "slice_axis", "concat"}
 
 
 def test_wrap_is_the_only_forward_copy():
