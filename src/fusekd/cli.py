@@ -124,7 +124,7 @@ def _cmd_make_teachers(args) -> int:
     cfg = replace(tch.DEFAULT_TEACHER_CONFIG, embed_dim=args.embed_dim)
     if args.epochs < 0 or args.seed < 0:
         raise ValueError("--epochs and --seed must be >= 0")
-    train_ds, _ = dat.load_splits(args.data)
+    train_ds = dat.load_train(args.data)
     if len(train_ds) == 0:
         raise ValueError(f"{args.data}: the training split has no samples")
     h, w = train_ds.images.shape[-2:]

@@ -126,6 +126,9 @@ def gen_data(out_dir: str | Path, n_train: int, n_test: int, seed: int, image_si
     return train_path, test_path
 
 
+def load_train(data_dir: str | Path) -> Dataset:
+    return read_dmtd(Path(data_dir) / "train.dmtd")
+
+
 def load_splits(data_dir: str | Path) -> tuple[Dataset, Dataset]:
-    d = Path(data_dir)
-    return read_dmtd(d / "train.dmtd"), read_dmtd(d / "test.dmtd")
+    return load_train(data_dir), read_dmtd(Path(data_dir) / "test.dmtd")

@@ -108,5 +108,6 @@ def gelu(x) -> np.ndarray:
 
 
 def gelu_grad(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    """d GELU / dx of a finite input."""
+    arr = _as_f64(x)
     return gelu_grad_from_erf(arr, gelu_one_plus_erf(arr))

@@ -19,14 +19,13 @@ EPS = 1e-8
 class AdamWState:
     """Per-parameter moments plus the shared step counter.
 
-    ``decay`` marks which parameters receive weight decay; LN gains/biases,
-    biases, class tokens and positional embeddings are exempt by name
-    (``decay_flag``).
+    ``adamw_step`` decays a parameter's weight unless its name exempts it
+    (``decay_flag``): LN gains/biases, biases, class tokens and positional
+    embeddings.
     """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
-    decay: list[bool]
     weight_decay: float
     t: int = 0
 
@@ -42,7 +41,6 @@ def init_adamw(params: list[Tensor], weight_decay: float = 0.05) -> AdamWState:
     return AdamWState(
         m=[np.zeros(p.shape) for p in params],
         v=[np.zeros(p.shape) for p in params],
-        decay=[decay_flag(p.name or "") for p in params],
         weight_decay=weight_decay,
     )
 
@@ -80,7 +78,7 @@ def adamw_step(
     updates = []
     for i, (p, g) in enumerate(zip(params, grads)):
         m, v, m_hat, denom = adam_moments(state.m[i], state.v[i], g, t)
-        wd = state.weight_decay if state.decay[i] else 0.0
+        wd = state.weight_decay if decay_flag(p.name or "") else 0.0
         step = m_hat  # lr * (m_hat / denom + wd * theta), built in m_hat's buffer
         step /= denom
         step += wd * p.array

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +58,6 @@ class StepLosses:
     total: float
     token: float
     spatial: float
-
-
-@dataclass
-class EpochMetrics:
-    epoch: int
-    loss_total: float
-    loss_token: float
-    loss_spatial: float
-    lr: float
 
 
 @dataclass
@@ -238,7 +229,7 @@ def load_train_checkpoint(path: str | Path):
 
 def train(cfg: TrainConfig, log=None) -> TrainResult:
     """Full distillation run; deterministic given cfg.seed (single-threaded)."""
-    train_ds, _ = dat.load_splits(cfg.dataset)
+    train_ds = dat.load_train(cfg.dataset)
     bank = load_bank(list(cfg.teacher_paths))
     _check_student_fits_bank(cfg.student, bank)
     if len(train_ds) == 0:
@@ -282,21 +273,21 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
             )
             sums += (losses.total, losses.token, losses.spatial)
             global_step += 1
-        em = EpochMetrics(
-            epoch=epoch,
-            loss_total=sums[0] / steps_per_epoch,
-            loss_token=sums[1] / steps_per_epoch,
-            loss_spatial=sums[2] / steps_per_epoch,
-            lr=lr_epoch,
-        )
-        final_loss = em.loss_total
-        metrics += json.dumps(asdict(em), sort_keys=True) + "\n"
+        record = {
+            "epoch": epoch,
+            "loss_total": sums[0] / steps_per_epoch,
+            "loss_token": sums[1] / steps_per_epoch,
+            "loss_spatial": sums[2] / steps_per_epoch,
+            "lr": lr_epoch,
+        }
+        final_loss = record["loss_total"]
+        metrics += json.dumps(record, sort_keys=True) + "\n"
         ckpt.write_atomic(metrics_path, [metrics.encode()])
         if log:
             log(
-                f"epoch {epoch + 1}/{cfg.epochs} loss={em.loss_total:.6f} "
-                f"(token={em.loss_token:.6f} spatial={em.loss_spatial:.6f}) "
-                f"lr={em.lr:.2e} {time.perf_counter() - t0:.1f}s"
+                f"epoch {epoch + 1}/{cfg.epochs} loss={record['loss_total']:.6f} "
+                f"(token={record['loss_token']:.6f} spatial={record['loss_spatial']:.6f}) "
+                f"lr={lr_epoch:.2e} {time.perf_counter() - t0:.1f}s"
             )
         if cfg.save_interval and (epoch + 1) % cfg.save_interval == 0 and epoch + 1 < cfg.epochs:
             save_train_checkpoint(
@@ -332,12 +323,15 @@ def fit_linear_head(
     train_y: np.ndarray,
     test_x: np.ndarray,
     test_y: np.ndarray,
-    num_classes: int,
     iters: int = PROBE_ITERS,
 ) -> float:
-    """Full-batch softmax regression, Adam with L2 decay on ``w``; returns held-out accuracy."""
+    """Full-batch softmax regression, Adam with L2 decay on ``w``; returns held-out accuracy.
+
+    Labels are integers >= 0 with at least two classes in ``train_y``; the
+    head has one class per value up to the largest label of either split."""
     _check_probe_epochs(iters)
-    _check_probe_labels(train_y, test_y, num_classes)
+    _check_probe_labels(train_y, test_y)
+    num_classes = int(max(train_y.max(), test_y.max())) + 1
     mu = train_x.mean(axis=0)
     sd = train_x.std(axis=0) + 1e-8
     xs = (train_x - mu) / sd
@@ -363,24 +357,14 @@ def _check_probe_epochs(probe_epochs: int) -> None:
         raise ValueError(f"probe iterations (probe_epochs) must be >= 1, got {probe_epochs}")
 
 
-def _check_probe_labels(train_y: np.ndarray, test_y: np.ndarray, num_classes: int) -> None:
+def _check_probe_labels(train_y: np.ndarray, test_y: np.ndarray) -> None:
+    for split, y in (("train", train_y), ("test", test_y)):
+        if len(y) == 0:
+            raise ValueError(f"linear probe: the {split} split has no samples")
+        if not (np.isfinite(y) & (y >= 0) & (np.floor(y) == y)).all():
+            raise ValueError(f"probe {split} labels must be integers >= 0")
     if len(np.unique(train_y)) < 2:
         raise ValueError("probe needs at least two classes in the training labels")
-    for split, y in (("train", train_y), ("test", test_y)):
-        if not ((y >= 0) & (y < num_classes)).all():
-            raise ValueError(f"probe {split} labels must lie in [0, {num_classes})")
-
-
-def _check_probe_splits(train_ds: dat.Dataset, test_ds: dat.Dataset, probe_epochs: int) -> int:
-    """Everything a probe needs, checked before any feature is extracted;
-    returns the class count, one past the largest label of either split."""
-    _check_probe_epochs(probe_epochs)
-    for split, ds in (("train", train_ds), ("test", test_ds)):
-        if len(ds) == 0:
-            raise ValueError(f"linear probe: the {split} split has no samples")
-    k = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
-    _check_probe_labels(train_ds.labels, test_ds.labels, k)
-    return k
 
 
 def linear_probe(
@@ -390,12 +374,11 @@ def linear_probe(
     probe_epochs: int = PROBE_ITERS,
 ) -> float:
     """Accuracy of a linear head on frozen class-token features."""
-    k = _check_probe_splits(train_ds, test_ds, probe_epochs)
+    _check_probe_epochs(probe_epochs)  # both checks before any feature is extracted
+    _check_probe_labels(train_ds.labels, test_ds.labels)
     train_x = class_token_features(encoder, train_ds.float_images())
     test_x = class_token_features(encoder, test_ds.float_images())
-    return fit_linear_head(
-        train_x, train_ds.labels, test_x, test_ds.labels, k, iters=probe_epochs
-    )
+    return fit_linear_head(train_x, train_ds.labels, test_x, test_ds.labels, iters=probe_epochs)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -444,7 +427,7 @@ def _sweep(
     """
     _check_probe_epochs(probe_epochs)  # before the dataset is read
     train_ds, test_ds = dat.load_splits(cfg.dataset)
-    _check_probe_splits(train_ds, test_ds, probe_epochs)
+    _check_probe_labels(train_ds.labels, test_ds.labels)
     rows = []
     for label, overrides, _, note in runs:
         result = train(replace(cfg, **overrides))

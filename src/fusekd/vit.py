@@ -17,8 +17,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-LN_EPS = 1e-6
-
 
 @dataclass(frozen=True)
 class ViTConfig:
@@ -201,7 +199,7 @@ class ViTEncoder:
         heads = cfg.num_heads
         dh = d // heads
         for blk in self.blocks:
-            h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"], LN_EPS)
+            h = T.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
             qkv = T.linear(h, blk["qkv_w"], blk["qkv_b"])  # (B, T, 3D)
             qkv = T.transpose(T.reshape(qkv, (b, t_len, 3, heads, dh)), (2, 0, 3, 1, 4))
             q, k, v = (T.slice_axis(qkv, 0, i, i + 1) for i in range(3))  # (1, B, heads, T, dh)
@@ -210,8 +208,8 @@ class ViTEncoder:
             ctx = T.matmul(attn, v)  # (1, B, heads, T, dh)
             ctx = T.reshape(T.transpose(ctx, (0, 1, 3, 2, 4)), (b, t_len, d))
             x = T.add(x, T.linear(ctx, blk["proj_w"], blk["proj_b"]))
-            h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"], LN_EPS)
+            h2 = T.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
             m = T.gelu(T.linear(h2, blk["fc1_w"], blk["fc1_b"]))
             m = T.linear(m, blk["fc2_w"], blk["fc2_b"])
             x = T.add(x, m)
-        return T.layer_norm(x, self.ln_f_g, self.ln_f_b, LN_EPS)
+        return T.layer_norm(x, self.ln_f_g, self.ln_f_b)

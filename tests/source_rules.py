@@ -1,0 +1,77 @@
+"""AST views of fusekd's own source, shared by the tests that state rules about it."""
+
+import ast
+from pathlib import Path
+
+import fusekd
+
+SRC = Path(fusekd.__file__).parent
+
+
+def source_trees() -> list[tuple[str, ast.Module]]:
+    """``(file name, parsed module)`` for every module of fusekd, in name order."""
+    return [(p.name, ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))]
+
+
+def calls_outside(owner: tuple[str, str], names: set[str]) -> list[str]:
+    """Every call of a function or method named in ``names`` (``f(...)`` or
+    ``x.f(...)``) anywhere in fusekd except inside the function
+    ``owner = (file name, function name)``, as ``"file:line name"``."""
+    found = []
+    for file, tree in source_trees():
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (file, node.name) == owner:
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in names:
+                    found.append(f"{file}:{node.lineno} {name}")
+    return found
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement binds: a function, a class or assigned names."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unused_public_names() -> set[str]:
+    """``"module.name"`` of every public module-level function, class and
+    constant that no other code in fusekd reads.
+
+    A name counts as read when its own module loads it outside its
+    definition, another module imports it (``from .m import name``), or
+    another module reads it as an attribute of the module (``m.name`` after
+    ``from . import m``, aliases included).
+    """
+    trees = {file[: -len(".py")]: tree for file, tree in source_trees()}
+    read = set()
+    for module, tree in trees.items():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        read.add(f"{node.module}.{a.name}")
+        for stmt in tree.body:
+            own = set(_defined(stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+                    read.add(f"{module}.{node.id}")
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                    read.add(f"{aliases[node.value.id]}.{node.attr}")
+    public = {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        for name in _defined(stmt)
+        if not name.startswith("_")
+    }
+    return public - read

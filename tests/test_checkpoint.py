@@ -1,10 +1,8 @@
 """DMTC checkpoint container: layout, round trips, failure modes, and the one file writer."""
 
-import ast
 import json
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ from fusekd import checkpoint as ckpt
 from fusekd import data as dat
 from fusekd.cli import _report_sweep, main
 from fusekd.trainer import SweepRow, SweepTable
+from source_rules import calls_outside
 
 
 def sample_tensors(rng):
@@ -227,17 +226,5 @@ def test_write_atomic_is_the_only_writer():
     """No fusekd module opens a file, writes one or makes a directory except
     through ``checkpoint.write_atomic``, so every file is written whole."""
     writes = {"open", "write_text", "write_bytes", "mkdir", "makedirs"}
-    found = []
-    for path in sorted(Path(ckpt.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        allowed = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("checkpoint.py", "write_atomic"):
-                allowed = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed:
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in writes:
-                    found.append(f"{path.name}:{node.lineno} {name}")
+    found = calls_outside(("checkpoint.py", "write_atomic"), writes)
     assert not found, f"file writes outside checkpoint.write_atomic: {found}"

@@ -165,15 +165,40 @@ def test_unallocatable_student_exit_2_and_nothing_created(cli_env, tmp_path, cap
 
 
 @pytest.fixture
-def empty_test_split(cli_env, tmp_path):
-    """Data directory with cli_env's training split and a test split of 0 records."""
+def train_only_split(cli_env, tmp_path):
+    """Data directory with cli_env's training split and no test split."""
     root, _ = cli_env
     data = tmp_path / "data"
     data.mkdir()
     (data / "train.dmtd").write_bytes((root / "data" / "train.dmtd").read_bytes())
-    empty = dat.Dataset(np.zeros((0, 3, 16, 16), np.uint8), np.zeros(0, np.uint8))
-    dat.write_dmtd(data / "test.dmtd", empty)
     return data
+
+
+@pytest.fixture
+def empty_test_split(train_only_split):
+    """Data directory with cli_env's training split and a test split of 0 records."""
+    empty = dat.Dataset(np.zeros((0, 3, 16, 16), np.uint8), np.zeros(0, np.uint8))
+    dat.write_dmtd(train_only_split / "test.dmtd", empty)
+    return train_only_split
+
+
+def test_distill_reads_no_test_split(cli_env, train_only_split, tmp_path):
+    _, cfg_path = cli_env
+    out = tmp_path / "run"
+    p = _config_with_out_dir(cfg_path, out, tmp_path)
+    _set_key(p, "dataset", train_only_split)
+    assert main(["distill", "--config", str(p)]) == 0
+    assert (out / "student_final.dmtc").exists()
+
+
+def test_make_teachers_reads_no_test_split(train_only_split, tmp_path):
+    out = tmp_path / "bank"
+    code = main(
+        ["make-teachers", "--data", str(train_only_split), "--out", str(out),
+         "--epochs", "1", "--flavors", "random-frozen"]
+    )
+    assert code == 0
+    assert (out / "toy-random.dmtc").exists()
 
 
 def test_eval_empty_test_split_exit_2(cli_env, empty_test_split, capsys):

@@ -11,6 +11,7 @@ import oracles
 from fusekd import functional as F
 from fusekd import tensor as T
 from fusekd.tensor import GradTape, Tensor, run_grad_check
+from source_rules import calls_outside, source_trees
 
 
 class TestTensorContainer:
@@ -211,6 +212,17 @@ class TestGelu:
         assert F.gelu(np.array([0.0]))[0] == 0.0
         # erf-based form, not the tanh approximation
         assert abs(F.gelu(np.array([1.0]))[0] - 0.8413447460685429) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", ["softmax", "log_softmax", "gelu", "gelu_grad", "kl_divergence"])
+def test_public_kernels_reject_non_finite_input(kernel):
+    fn = getattr(F, kernel)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.array([bad, 1.0])
+        calls = [(x, [0.5, 0.5]), ([0.5, 0.5], x)] if kernel == "kl_divergence" else [(x,)]
+        for args in calls:
+            with pytest.raises(ValueError, match="non-finite values in input"):
+                fn(*args)
 
 
 class TestTapeGradients:
@@ -482,18 +494,11 @@ def test_emit_is_the_only_recording_point():
     """Inside ``fusekd`` only ``tensor._emit`` calls ``.record(``, and no name
     ``no_tape`` exists: whether an op is recorded is decided in one place, from
     its inputs."""
-    found = []
-    for path in sorted(Path(T.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        allowed = set()
+    found = calls_outside(("tensor.py", "_emit"), {"record"})
+    for file, tree in source_trees():
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("tensor.py", "_emit"):
-                allowed = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed and getattr(node.func, "attr", None) == "record":
-                found.append(f"{path.name}:{node.lineno} record")
             if "no_tape" in {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}:
-                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} no_tape")
+                found.append(f"{file}:{getattr(node, 'lineno', '?')} no_tape")
     assert not found, f"recording decided outside tensor._emit: {found}"
 
 

@@ -1,6 +1,5 @@
 """Training orchestration: steps, full runs, probing, sweeps, state I/O."""
 
-import ast
 import hashlib
 import json
 import os
@@ -36,6 +35,7 @@ from fusekd.trainer import (
     train,
 )
 from fusekd.vit import ViTConfig, ViTEncoder
+from source_rules import calls_outside
 
 TEACHER_CFG = ViTConfig(16, 4, 2, 32, 2)
 STUDENT_CFG = ViTConfig(16, 4, 2, 16, 2)
@@ -425,20 +425,7 @@ class TestStepTargets:
 def test_step_targets_is_the_only_caller_of_fusion_and_teacher_forwards():
     """Inside fusekd, only ``trainer.step_targets`` fuses teacher outputs or
     runs the bank's forwards, so the frozen side of a step lives in one function."""
-    frozen_side = {"fuse_tokens", "forward_all"}
-    found = []
-    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        allowed = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("trainer.py", "step_targets"):
-                allowed = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed:
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in frozen_side:
-                    found.append(f"{path.name}:{node.lineno} {name}")
+    found = calls_outside(("trainer.py", "step_targets"), {"fuse_tokens", "forward_all"})
     assert not found, f"calls outside trainer.step_targets: {found}"
 
 
@@ -659,7 +646,7 @@ class TestLinearProbe:
         k = 4
         labels = np.tile(np.arange(k), 32)
         feats = np.eye(k)[labels]
-        acc = fit_linear_head(feats, labels, feats, labels, k, iters=50)
+        acc = fit_linear_head(feats, labels, feats, labels, iters=50)
         assert acc == 1.0
 
     def test_shuffled_labels_give_chance_accuracy(self):
@@ -693,7 +680,7 @@ class TestLinearProbe:
         w = rng.normal(size=(d, k))
         x = rng.normal(size=(2 * n, d))
         y = (x @ w + rng.normal(size=(2 * n, k))).argmax(axis=1)
-        acc = fit_linear_head(x[:n], y[:n], x[n:], y[n:], k, iters=iters)
+        acc = fit_linear_head(x[:n], y[:n], x[n:], y[n:], iters=iters)
         assert acc.hex() == acc_hex
 
     @pytest.mark.parametrize("iters", [0, -3])
@@ -701,22 +688,22 @@ class TestLinearProbe:
         labels = np.tile(np.arange(2), 4)
         feats = np.eye(2)[labels]
         with pytest.raises(ValueError, match="iterations"):
-            fit_linear_head(feats, labels, feats, labels, 2, iters=iters)
+            fit_linear_head(feats, labels, feats, labels, iters=iters)
 
     def test_single_class_rejected(self):
         feats = np.random.default_rng(0).normal(size=(10, 3))
         labels = np.zeros(10)
         with pytest.raises(ValueError, match="two classes"):
-            fit_linear_head(feats, labels, feats, labels, 4)
+            fit_linear_head(feats, labels, feats, labels)
 
     @pytest.mark.parametrize(
         "train_y, test_y, split",
         [
-            ([0, 1, 2, 3], [0, 1, 0, 1], "train"),
             ([0, 1, 0, -1], [0, 1, 0, 1], "train"),
-            ([0, 1, 0, 1], [0, 2, 0, 1], "test"),
+            ([0, 1, 1.5, 0], [0, 1, 0, 1], "train"),
+            ([0, 1, 0, 1], [0, 1, np.nan, 1], "test"),
         ],
-        ids=["train-above", "train-negative", "test-above"],
+        ids=["train-negative", "non-integer", "test-nan"],
     )
     def test_labels_outside_the_classes_rejected_before_any_step(
         self, monkeypatch, train_y, test_y, split
@@ -726,8 +713,16 @@ class TestLinearProbe:
 
         monkeypatch.setattr(optim, "adam_moments", refuse)
         feats = np.random.default_rng(0).normal(size=(4, 3))
-        with pytest.raises(ValueError, match=rf"probe {split} labels must lie in \[0, 2\)"):
-            fit_linear_head(feats, np.array(train_y), feats, np.array(test_y), 2)
+        with pytest.raises(ValueError, match=f"probe {split} labels must be integers >= 0"):
+            fit_linear_head(feats, np.array(train_y), feats, np.array(test_y))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_labels_rejected_naming_the_split(self, split):
+        labels = {"train": np.array([0, 1, 0, 1]), "test": np.array([0, 1, 0, 1])}
+        labels[split] = labels[split][:0]
+        feats = np.eye(2)[[0, 1, 0, 1]]
+        with pytest.raises(ValueError, match=f"the {split} split has no samples"):
+            fit_linear_head(feats, labels["train"], feats, labels["test"])
 
     def test_probe_leaves_encoder_untouched(self, micro_data):
         train_ds, test_ds = dat.load_splits(micro_data)
