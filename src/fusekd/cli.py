@@ -26,7 +26,7 @@ from . import trainer
 from .config import load_config
 from .fusion import Adapter
 from .tensor import Tensor, run_grad_check
-from .vit import ViTConfig, ViTEncoder, param_count
+from .vit import ViTConfig, ViTEncoder, check_images, param_count
 
 
 class _UsageError(Exception):
@@ -125,13 +125,12 @@ def _cmd_make_teachers(args) -> int:
     if args.epochs < 0 or args.seed < 0:
         raise ValueError("--epochs and --seed must be >= 0")
     train_ds = dat.load_train(args.data)
-    if len(train_ds) == 0:
-        raise ValueError(f"{args.data}: the training split has no samples")
-    h, w = train_ds.images.shape[-2:]
-    if h != w:
-        raise ValueError(f"{args.data}: images are {h}x{w}, teachers need square images")
+    cfg = replace(cfg, image_size=train_ds.images.shape[-1])
+    try:
+        check_images(train_ds.images, cfg.image_size)
+    except ValueError as exc:
+        raise ValueError(f"{args.data}: {exc}") from None
     images = train_ds.float_images()
-    cfg = replace(cfg, image_size=w)
     out = Path(args.out)
     for flavor in flavors:
         enc = tch.make_toy_teacher(

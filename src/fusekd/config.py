@@ -10,6 +10,7 @@ checkpoint metadata.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
@@ -38,6 +39,10 @@ class TrainConfig:
     save_interval: int = 10
 
     def __post_init__(self):
+        for key, ftype, value in _leaves(self):  # first: True and 1.0 pass every check below
+            if not _leaf_ok(ftype, value):
+                kind = _KINDS.get(ftype) or f"a {ftype.__name__}"
+                raise ValueError(f"{key}: {value!r} is not {kind}")
         if not self.teacher_paths:
             raise ValueError("teacher_paths must name at least one teacher")
         # each text value must come back unchanged from its one key=value line
@@ -69,20 +74,38 @@ def _hints(cls: type) -> dict[str, typing.Any]:
     return typing.get_type_hints(cls)
 
 
-def _lines(obj, prefix: str):
+def _leaves(obj, prefix: str = ""):
+    """``(dotted key, declared type, value)`` of every field that is not a
+    nested config, in field order; a nested config's fields follow under
+    its key. A value that is not of its nested config's type is a leaf."""
     hints = _hints(type(obj))
     for f in fields(obj):
-        key, value = prefix + f.name, getattr(obj, f.name)
-        if is_dataclass(hints[f.name]):
-            yield from _lines(value, key + ".")
-        elif hints[f.name] == _STRINGS:
-            yield f"{key}={','.join(value)}"
+        key, ftype, value = prefix + f.name, hints[f.name], getattr(obj, f.name)
+        if is_dataclass(ftype) and type(value) is ftype:
+            yield from _leaves(value, key + ".")
         else:
-            yield f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
+            yield key, ftype, value
+
+
+# what a leaf of each declared type must be for its one line of text to parse back to it
+_KINDS = {int: "an int", float: "a finite int or float", str: "a str", _STRINGS: "a tuple of str"}
+
+
+def _leaf_ok(ftype, value) -> bool:
+    if ftype == _STRINGS:
+        return type(value) is tuple and all(type(p) is str for p in value)
+    if ftype is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is ftype  # int, str or a nested config: a bool is no int
 
 
 def serialize_config(cfg: TrainConfig) -> str:
-    return "\n".join(_lines(cfg, "")) + "\n"
+    text = ""
+    for key, ftype, value in _leaves(cfg):
+        if ftype == _STRINGS:
+            value = ",".join(value)
+        text += f"{key}={value!r}\n" if isinstance(value, float) else f"{key}={value}\n"
+    return text
 
 
 def _build(cls: type, pairs: dict[str, str], prefix: str):

@@ -21,7 +21,7 @@ from . import optim
 from . import tensor as T
 from .fusion import Adapter
 from .tensor import GradTape, Tensor
-from .vit import ViTConfig, ViTEncoder, patchify, unpatchify
+from .vit import ViTConfig, ViTEncoder, check_images, patchify, unpatchify
 
 FLAVOR_LABELS = {
     "masked-reconstruction": "toy-mim",
@@ -99,8 +99,6 @@ def _fit(params, images, seed, stream, epochs, batch_size, batch_loss) -> list[f
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = images.shape[0]
-    if n < 1:
-        raise ValueError("need at least one training image")
     state = optim.init_adamw(params, weight_decay=0.0)
     history = []
     for epoch in range(epochs):
@@ -125,6 +123,7 @@ def train_masked_reconstruction(
 ) -> tuple[ViTEncoder, list[float]]:
     """Mask patches at pixel level, regress their original pixels with a
     linear head from the corresponding tokens. Returns per-epoch mean loss."""
+    check_images(images, config.image_size)
     enc = ViTEncoder(config, seed=seed)
     pd, n_patches = config.patch_dim, config.num_patches
     head = Adapter.create(config.embed_dim, pd, seed=[seed, 11])
@@ -154,6 +153,7 @@ def train_instance_contrastive(
     batch_size: int = 64,
 ) -> tuple[ViTEncoder, list[float]]:
     """Cross-view InfoNCE on normalized class-token projections."""
+    check_images(images, config.image_size)
     enc = ViTEncoder(config, seed=seed)
     d = config.embed_dim
     head = Adapter.create(d, d, seed=[seed, 17])
@@ -196,11 +196,6 @@ def make_toy_teacher(
         return ViTEncoder(config, seed=seed).freeze()
     if images is None:
         raise ValueError(f"flavor {flavor!r} needs training images")
-    size = config.image_size
-    if np.shape(images)[1:] != (3, size, size):
-        raise ValueError(
-            f"images of shape {np.shape(images)}; this teacher config needs (n, 3, {size}, {size})"
-        )
     fit = (
         train_masked_reconstruction
         if flavor == "masked-reconstruction"

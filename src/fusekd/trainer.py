@@ -26,7 +26,7 @@ from .config import TrainConfig, parse_config, serialize_config
 from .fusion import Adapter
 from .teachers import TeacherBank, load_bank
 from .tensor import GradTape
-from .vit import ViTConfig, ViTEncoder
+from .vit import ViTConfig, ViTEncoder, check_images
 
 _MASK63 = (1 << 63) - 1
 
@@ -104,19 +104,17 @@ def distill_step(
     with one view seed per image.
 
     Checked in this order, before any view is built, each raising a plain
-    ``ValueError``: the loss mode; a non-empty ``(B, 3, S, S)`` batch for the
-    bank's image size S; one seed per image, each an integer >= 0; the
-    student's resolution and patch size against the bank's; an adapter
-    weight of ``(student width, bank width)``. Then a sample outside [0, 1]
+    ``ValueError``: the loss mode; ``check_images`` at the bank's image size;
+    one seed per image, each an integer >= 0; the student's resolution and
+    patch size against the bank's; an adapter weight of ``(student width,
+    bank width)``. Then a sample outside [0, 1]
     raises ``NonFiniteLossError`` with its ``batch_index``. Any later
     ``ValueError`` (a non-finite primitive output or update) raises it with
     ``batch_index=None``. Nothing is updated on any failure.
     """
     if loss_mode not in fusion.LOSS_MODES:
         raise ValueError(f"loss_mode must be one of {fusion.LOSS_MODES}")
-    s = bank.config.image_size
-    if images.ndim != 4 or images.shape[1:] != (3, s, s) or images.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (B, 3, {s}, {s}) image batch, got {images.shape}")
+    check_images(images, bank.config.image_size)
     if len(seeds) != images.shape[0]:
         raise ValueError(f"{len(seeds)} view seeds for {images.shape[0]} images")
     for i, seed in enumerate(seeds):
@@ -232,12 +230,10 @@ def train(cfg: TrainConfig, log=None) -> TrainResult:
     train_ds = dat.load_train(cfg.dataset)
     bank = load_bank(list(cfg.teacher_paths))
     _check_student_fits_bank(cfg.student, bank)
-    if len(train_ds) == 0:
-        raise ValueError(f"{cfg.dataset}: the training split has no samples")
-    h, w = train_ds.images.shape[-2:]
-    size = cfg.student.image_size
-    if (h, w) != (size, size):
-        raise ValueError(f"{cfg.dataset}: images are {h}x{w}, the student expects {size}x{size}")
+    try:
+        check_images(train_ds.images, cfg.student.image_size)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.dataset}: {exc}") from None
     student = ViTEncoder(cfg.student, seed=derive_seed(cfg.seed, 1))
     adapter = Adapter.create(
         cfg.student.embed_dim, bank.config.embed_dim, seed=derive_seed(cfg.seed, 2)

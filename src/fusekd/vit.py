@@ -56,6 +56,15 @@ class ViTConfig:
         return 3 * self.patch_size * self.patch_size
 
 
+def check_images(images: np.ndarray, size: int) -> None:
+    """Raise ``ValueError`` unless ``images`` is a non-empty ``(B, 3, size, size)``
+    batch. Reads only the shape, so any dtype passes as is."""
+    if np.shape(images)[1:] != (3, size, size) or np.size(images) == 0:
+        raise ValueError(
+            f"expected a non-empty (B, 3, {size}, {size}) image batch, got {np.shape(images)}"
+        )
+
+
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     """(..., 3, S, S) -> (..., N, 3*p*p) with N = (S / p)**2.
 
@@ -171,23 +180,16 @@ class ViTEncoder:
 
     def embed(self, images: np.ndarray) -> Tensor:
         """(B, 3, S, S) -> token matrix (B, N+1, D); row 0 is cls + pos0."""
-        imgs = self._check_images(images)
-        b = imgs.shape[0]
+        check_images(images, self.config.image_size)
         d = self.config.embed_dim
-        patches = Tensor(patchify(imgs, self.config.patch_size))
+        patches = Tensor(patchify(images, self.config.patch_size))
+        b = patches.shape[0]
         x = T.linear(patches, self.patch_w, self.patch_b)  # (B, N, D)
         cls = T.add(
             T.reshape(self.cls_token, (1, 1, d)), Tensor(np.zeros((b, 1, d)))
         )  # broadcast to (B, 1, D)
         x = T.concat(cls, x, axis=1)
         return T.add(x, self.pos_embed)
-
-    def _check_images(self, images: np.ndarray) -> np.ndarray:
-        imgs = np.asarray(images, dtype=np.float64)
-        s = self.config.image_size
-        if imgs.ndim != 4 or imgs.shape[1:] != (3, s, s):
-            raise ValueError(f"expected (B, 3, {s}, {s}) images, got {imgs.shape}")
-        return imgs
 
     def encode_batch(self, images: np.ndarray) -> Tensor:
         """(B, 3, S, S) -> (B, N+1, D), final LN applied to every token."""

@@ -32,6 +32,38 @@ def calls_outside(owner: tuple[str, str], names: set[str]) -> list[str]:
     return found
 
 
+def _is_shape_slice(node: ast.expr) -> bool:
+    """``x.shape[i:j]`` or ``np.shape(x)[i:j]``."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)):
+        return False
+    v = node.value
+    return getattr(v, "attr", None) == "shape" or (
+        isinstance(v, ast.Call) and getattr(v.func, "attr", getattr(v.func, "id", None)) == "shape"
+    )
+
+
+def _starts_with_3(node: ast.expr) -> bool:
+    return isinstance(node, ast.Tuple) and bool(node.elts) and getattr(node.elts[0], "value", None) == 3
+
+
+def image_shape_checks() -> list[tuple[str, str | None]]:
+    """``(file name, innermost enclosing function or None)`` of every comparison
+    in fusekd between a shape slice and a tuple whose first item is the literal
+    3: the form of a check that images are ``(B, 3, S, S)``."""
+    found = []
+    for file, tree in source_trees():
+        owner = {}  # ast.walk is breadth-first, so an inner function overwrites its outer one
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((id(n), func.name) for n in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_shape_slice, operands)) and any(map(_starts_with_3, operands)):
+                    found.append((file, owner.get(id(node))))
+    return found
+
+
 def _defined(stmt: ast.stmt) -> list[str]:
     """Names a module-level statement binds: a function, a class or assigned names."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):

@@ -494,7 +494,8 @@ class TestMakeTeachers:
              "--epochs", "2", "--flavors", "masked-reconstruction"]
         )
         assert code == 2
-        assert "no samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {data}: expected a non-empty (B, 3, 16, 16) image batch, got (0, 3, 16, 16)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flavor", ["masked-reconstruction", "instance-contrastive"])
@@ -511,7 +512,7 @@ class TestMakeTeachers:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {data}: images are 8x16" in err
+        assert f"error: {data}: expected a non-empty (B, 3, 16, 16) image batch, got (4, 3, 8, 16)" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import MISSING, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,12 @@ def leaves(obj, prefix=""):
             yield from leaves(value, prefix + f.name + ".")
         else:
             yield prefix + f.name, value, f
+
+
+def with_leaf(cfg, key, value):
+    """``cfg`` with the leaf at dotted ``key`` set to ``value``, each enclosing config rebuilt."""
+    head, _, rest = key.partition(".")
+    return replace(cfg, **{head: with_leaf(getattr(cfg, head), rest, value) if rest else value})
 
 
 def every_leaf_changed():
@@ -113,24 +120,38 @@ class TestRoundTrip:
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
-    # case -> config overrides whose text would not re-parse to the same value
+    # case -> (dotted key, value) whose text would not re-parse to the same value
     UNSERIALIZABLE = {
-        "empty-teacher-path": {"teacher_paths": ("a.dmtc", "")},
-        "comma-in-teacher-path": {"teacher_paths": ("t/a,b.dmtc",)},
-        "teacher-path-line-break": {"teacher_paths": ("a.dmtc", "t/a\nb.dmtc")},
-        "teacher-path-leading-space": {"teacher_paths": (" a.dmtc",)},
-        "dataset-line-break": {"dataset": "data\r\nseed=3"},
-        "dataset-leading-space": {"dataset": " data"},
-        "out-dir-line-break": {"out_dir": "runs/x\ny"},
-        "out-dir-line-separator": {"out_dir": "runs/\u2028x"},
-        "out-dir-trailing-space": {"out_dir": "runs/x "},
+        "empty-teacher-path": ("teacher_paths", ("a.dmtc", "")),
+        "comma-in-teacher-path": ("teacher_paths", ("t/a,b.dmtc",)),
+        "teacher-path-line-break": ("teacher_paths", ("a.dmtc", "t/a\nb.dmtc")),
+        "teacher-path-leading-space": ("teacher_paths", (" a.dmtc",)),
+        "dataset-line-break": ("dataset", "data\r\nseed=3"),
+        "dataset-leading-space": ("dataset", " data"),
+        "out-dir-line-break": ("out_dir", "runs/x\ny"),
+        "out-dir-line-separator": ("out_dir", "runs/\u2028x"),
+        "out-dir-trailing-space": ("out_dir", "runs/x "),
+        # a leaf not of its declared type: its text parses back to another
+        # value (a list becomes a tuple) or not at all (int('True'), int('1.0'))
+        "bool-batch-size": ("batch_size", True),
+        "float-save-interval": ("save_interval", 1.0),
+        "float-warmup-epochs": ("schedule.warmup_epochs", 0.0),
+        "bool-base-lr": ("schedule.base_lr", True),
+        "bool-flip-prob": ("augment.flip_prob", True),
+        "path-dataset": ("dataset", Path("d")),
+        "list-teacher-paths": ("teacher_paths", ["a.dmtc"]),
+        "int-teacher-path": ("teacher_paths", ("a.dmtc", 1)),
     }
 
     @pytest.mark.parametrize("case", UNSERIALIZABLE)
     def test_text_that_would_not_reparse_rejected(self, case):
-        (key, value), = self.UNSERIALIZABLE[case].items()
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            replace(sample_config(), **{key: value})
+        key, value = self.UNSERIALIZABLE[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: "):
+            with_leaf(sample_config(), key, value)
+
+    def test_int_float_leaf_round_trips(self):
+        cfg = with_leaf(sample_config(), "schedule.base_lr", 1)
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestParseErrors:

@@ -1,6 +1,6 @@
 """Rules about fusekd's source as a whole."""
 
-from source_rules import unused_public_names
+from source_rules import image_shape_checks, unused_public_names
 
 # public names that no code in fusekd reads, each kept for a reason outside it
 KEPT_WITHOUT_CALLER = {
@@ -19,3 +19,9 @@ def test_every_public_name_has_a_caller_in_src():
     unused = unused_public_names()
     assert unused - KEPT_WITHOUT_CALLER.keys() == set(), "public names no fusekd code reads"
     assert KEPT_WITHOUT_CALLER.keys() - unused == set(), "listed names that fusekd now reads"
+
+
+def test_check_images_is_the_only_image_batch_check():
+    """A batch is a non-empty (B, 3, S, S) array in one place: a second
+    hand-written copy of the check would drift from its message."""
+    assert image_shape_checks() == [("vit.py", "check_images")]

@@ -90,7 +90,9 @@ class TestMakeToyTeacher:
 
         monkeypatch.setattr(tch, "ViTEncoder", refuse)
         wide = np.zeros((4, 3, 8, 16))
-        with pytest.raises(ValueError, match=r"\(4, 3, 8, 16\).*\(n, 3, 16, 16\)"):
+        with pytest.raises(
+            ValueError, match=r"^expected a non-empty \(B, 3, 16, 16\) image batch, got \(4, 3, 8, 16\)$"
+        ):
             tch.make_toy_teacher(0, flavor, wide, SMALL_CFG)
 
     def test_unknown_flavor_rejected(self, images):
